@@ -160,10 +160,14 @@ def _read_values(args) -> list | int:
         if not s:
             continue
         try:
-            values.append(float(s) if args.float else int(s))
+            value = float(s) if args.float else int(s)
         except ValueError:
             print(f"input line {ln}: cannot parse {s!r}", file=sys.stderr)
             return 2
+        if value != value:  # only NaN; it compares false with everything
+            print(f"input line {ln}: NaN cannot be sorted", file=sys.stderr)
+            return 2
+        values.append(value)
     return values
 
 

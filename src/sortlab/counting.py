@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 class OpCounters:
     """Monotone tallies for one measured run.
 
+    ``swaps`` counts pairwise exchanges and ``element_moves`` single element
+    writes. The heap code (``heap_core`` and ``uhs_sort``) moves a hole
+    instead of exchanging pairs, so it reports no swaps: every write of an
+    element into its backing list is one ``element_moves``.
     ``aux_peak_slots`` counts element-sized scratch allocations requested
     through :meth:`scratch`; fixed-size locals are deliberately not counted.
     ``recursion_peak`` is the deepest nested call level an algorithm reported.

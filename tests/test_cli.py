@@ -90,6 +90,15 @@ class TestSortCommand:
         assert code == 2
         assert "line 2" in err and "xyz" in err
 
+    def test_float_nan_rejected_with_line(self, capsys, monkeypatch):
+        for algorithm in ("uhs", "merge", "quick", "insertion"):
+            code, out, err = run_cli(
+                capsys, ["sort", "-a", algorithm, "--float"], "2.5\n1\nnan\n0.5\n", monkeypatch
+            )
+            assert code == 2, algorithm
+            assert out == ""
+            assert "line 3" in err and "NaN" in err
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, ["sort", "-i", "/nonexistent/path.txt"])
         assert code == 2 and "cannot read" in err

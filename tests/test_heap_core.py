@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -22,6 +23,7 @@ from sortlab.heap_core import (
     right,
 )
 from sortlab.instrumentation import TaggedElement
+from sortlab.uhs_sort import uhs_sort
 
 
 class TestIndexMath:
@@ -131,14 +133,15 @@ class TestSiftDown:
         c = OpCounters()
         h.sift_down(0, c)
         assert h.elements == [5, 1, 3]
-        assert (c.comparisons, c.swaps) == (2, 1)
+        # one child moves up into the hole, then the held 1 lands: two writes
+        assert (c.comparisons, c.element_moves) == (2, 2)
 
     def test_single_level_right(self):
         h = Heap([1, 2, 5])
         c = OpCounters()
         h.sift_down(0, c)
         assert h.elements == [5, 2, 1]
-        assert (c.comparisons, c.swaps) == (2, 1)
+        assert (c.comparisons, c.element_moves) == (2, 2)
 
     def test_full_descent_costs_two_comparisons_per_level(self):
         a = [14 - i for i in range(15)]  # perfect max-heap
@@ -147,7 +150,8 @@ class TestSiftDown:
         c = OpCounters()
         h.sift_down(0, c)
         assert is_heap(a)
-        assert (c.comparisons, c.swaps) == (6, 3)
+        # three children move up one level each, then the held -1 lands
+        assert (c.comparisons, c.element_moves) == (6, 4)
 
     def test_equal_children_left_wins(self):
         a = [TaggedElement(0, 0), TaggedElement(7, 1), TaggedElement(7, 2)]
@@ -159,7 +163,7 @@ class TestSiftDown:
         c = OpCounters()
         Heap(a).sift_down(0, c)
         assert [t.origin for t in a] == [0, 1, 2]
-        assert c.swaps == 0
+        assert (c.comparisons, c.element_moves) == (2, 0)
 
     def test_out_of_range_rejected(self):
         h = Heap([3, 1])
@@ -185,7 +189,8 @@ class TestBuild:
         assert a == [5, 4, 3, 1, 2]
         assert h.elements is a
         assert len(h) == 5
-        assert (c.comparisons, c.swaps) == (6, 3)
+        # node 1 sinks one level (2 writes), the root two levels (3 writes)
+        assert (c.comparisons, c.element_moves) == (6, 5)
 
     def test_comparison_bound_two_n(self):
         rng = random.Random(11)
@@ -211,7 +216,7 @@ class TestBuild:
         a = [7] * 15
         c = OpCounters()
         build(a, counters=c)
-        assert c.swaps == 0
+        assert c.element_moves == 0
         assert c.comparisons > 0
 
     def test_trivial_sizes_cost_nothing(self):
@@ -256,14 +261,24 @@ class TestHeapLifecycle:
         c = OpCounters()
         h.push(10, c)
         assert h.elements == [10, 9, 7, 5]
-        assert (c.comparisons, c.swaps, c.element_moves) == (2, 2, 1)
+        # 5 and 9 each move down a level, then 10 lands at the root
+        assert (c.comparisons, c.swaps, c.element_moves) == (2, 0, 3)
 
     def test_pop_single_element_costs_nothing(self):
         h = Heap([5])
         c = OpCounters()
         assert h.pop_root(c) == 5
         assert len(h) == 0
-        assert c.swaps == 0 and c.comparisons == 0
+        assert c.as_dict() == OpCounters().as_dict()
+
+    def test_pop_root_descends_with_one_comparison_per_level(self):
+        h = Heap([14 - i for i in range(15)])  # perfect max-heap, 4 levels
+        c = OpCounters()
+        assert h.pop_root(c) == 14
+        assert h.elements == [13, 11, 12, 7, 10, 9, 8, 0, 6, 5, 4, 3, 2, 1, 14]
+        # three levels to the leaf, one comparison to stop 0 climbing; writes:
+        # the root to the freed slot, three children up, then 0 at the leaf
+        assert (c.comparisons, c.element_moves) == (4, 5)
 
     def test_push_reuses_slack_slot(self):
         h = Heap([5, 4, 1])
@@ -343,3 +358,65 @@ class TestHeapLifecycle:
         for x in xs:
             h.push(x)
         assert [h.pop_root() for _ in range(len(h))] == sorted(xs)
+
+
+class Fuse:
+    """Orders by ``key`` until a shared comparison budget runs out, then raises."""
+
+    def __init__(self, key, budget: list):
+        self.key = key
+        self.budget = budget  # one-item list shared by a batch of fuses
+
+    def _spend(self):
+        if self.budget[0] == 0:
+            raise RuntimeError("comparison budget spent")
+        self.budget[0] -= 1
+
+    def __gt__(self, other):
+        self._spend()
+        return self.key > other.key
+
+    def __lt__(self, other):
+        self._spend()
+        return self.key < other.key
+
+
+class TestExceptionSafety:
+    @pytest.mark.parametrize("run", [
+        uhs_sort,
+        build,
+        lambda a: Heap(a).sift_down(0),
+    ], ids=["uhs_sort", "build", "sift_down"])
+    def test_raising_comparison_leaves_a_permutation(self, run):
+        a = [3, "x", 1, 2]
+        with pytest.raises(TypeError):
+            run(a)
+        assert Counter(a) == Counter([3, "x", 1, 2])
+        # fail at every point of the run: during descents, climbs and extraction
+        rng = random.Random(6)
+        raised = 0
+        for spend in range(160):
+            budget = [spend]
+            items = [Fuse(rng.randint(0, 9), budget) for _ in range(24)]
+            a = items[:]
+            try:
+                run(a)
+            except RuntimeError:
+                raised += 1
+            assert Counter(a) == Counter(items), spend
+        assert raised > 0
+
+    def test_failed_push_leaves_heap_unchanged(self):
+        h = Heap([3, 1])
+        with pytest.raises(TypeError):
+            h.push("x")
+        assert len(h) == 2 and h.elements[:2] == [3, 1]
+        assert is_heap(h.elements, h.heap_size)
+        # a comparison that fails above the first level moves nothing either
+        budget = [1]
+        live = [Fuse(k, budget) for k in (9, 7, 8, 1, 2)]
+        h = Heap(live[:])
+        with pytest.raises(RuntimeError):
+            h.push(Fuse(10, budget))
+        assert len(h) == 5
+        assert all(x is y for x, y in zip(h.elements[:5], live))
