@@ -21,7 +21,8 @@ from .baseline_sorts import AlgorithmId, PivotRule
 from .counting import OpCounters
 from .heap_core import Heap, HeapOrder, is_heap
 from .instrumentation import (
-    STABILITY_EXPECTED,
+    SPECS,
+    KeyDomain,
     StabilityVerdict,
     counted_sort,
     stability_check,
@@ -186,12 +187,13 @@ def run_sweep(
 
     The input array for a cell depends only on (seed, size, distribution,
     trial), so every algorithm sees identical data and repeated sweeps are
-    reproducible except for wall-clock nanos. Bucket sort receives the float
-    rendition of integer distributions; radix sort rejects uniform01 keys.
+    reproducible except for wall-clock nanos. An algorithm whose key domain is
+    [0, 1) receives the float rendition of integer distributions; one that
+    takes only integer keys rejects uniform01 keys.
     """
     records = []
     for algorithm in algorithms:
-        wants_floats = algorithm is AlgorithmId.BUCKET
+        wants_floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
         for n in sizes:
             for dist in distributions:
                 for trial in range(trials):
@@ -348,59 +350,49 @@ _QUICK_SPACE_NOTE = (
 def space_table(seed: int = 0, n: int = 4096, quick_trials: int = 100) -> list[SpaceRow]:
     """Peak auxiliary usage per algorithm at a fixed size.
 
-    Every row but quicksort's meters scratch slots. Quicksort allocates no
-    buffers, so its row tracks peak recursion depth over ``quick_trials``
-    seeded runs against a 2*log2(n) budget -- deliberately tighter than the
-    claimed linearithmic envelope; the note explains the gap.
+    Every row but quicksort's meters scratch slots on keys from the
+    algorithm's domain, and must hit its ``SPECS`` budget exactly. Quicksort
+    allocates no buffers, so its row tracks peak recursion depth over
+    ``quick_trials`` seeded runs against a 2*log2(n) budget -- deliberately
+    tighter than the claimed linearithmic envelope; the note explains the gap.
     """
     log2n = int(math.log2(n))
+    R, U = Distribution.RANDOM_SEEDED, Distribution.UNIFORM01
+    rng16 = random.Random(_subseed(seed, n, R, 1))
+    keys = {
+        KeyDomain.COMPARABLE: generate_input(R, n, _subseed(seed, n, R, 0)),
+        KeyDomain.UNIT_FLOAT: generate_input(U, n, _subseed(seed, n, U, 0)),
+        KeyDomain.NONNEG_INT: [rng16.randrange(65536) for _ in range(n)],
+    }
 
-    def aux(algorithm: AlgorithmId, arr: list) -> int:
-        _, c = counted_sort(algorithm, arr, seed=seed)
-        return c.aux_peak_slots
-
-    ints = generate_input(Distribution.RANDOM_SEEDED, n, _subseed(seed, n, Distribution.RANDOM_SEEDED, 0))
-    uni = generate_input(Distribution.UNIFORM01, n, _subseed(seed, n, Distribution.UNIFORM01, 0))
-    keys16 = [random.Random(_subseed(seed, n, Distribution.RANDOM_SEEDED, 1)).randrange(65536) for _ in range(n)]
-
-    depth = 0
+    depth = quick_aux = 0
     for t in range(quick_trials):
-        sub = _subseed(seed, n, Distribution.RANDOM_SEEDED, t)
-        arr = generate_input(Distribution.RANDOM_SEEDED, n, sub)
-        _, c = counted_sort(AlgorithmId.QUICK, arr, seed=sub, pivot=PivotRule.RANDOM_SEEDED)
+        sub = _subseed(seed, n, R, t)
+        _, c = counted_sort(AlgorithmId.QUICK, generate_input(R, n, sub), seed=sub,
+                            pivot=PivotRule.RANDOM_SEEDED)
         depth = max(depth, c.recursion_peak)
+        quick_aux = max(quick_aux, c.aux_peak_slots)
 
-    A = AlgorithmId
-    m_ins = aux(A.INSERTION, ints[:])
-    m_mrg = aux(A.MERGE, ints[:])
-    m_bkt = aux(A.BUCKET, uni[:])
-    m_rdx = aux(A.RADIX, keys16)
-    m_bub = aux(A.BUBBLE, ints[:])
-    m_uhs = aux(A.UHS, ints[:])
-    return [
-        SpaceRow(A.INSERTION, "O(1)", "aux slots", m_ins, 0, m_ins == 0),
-        SpaceRow(A.MERGE, "O(n)", "aux slots", m_mrg, n, m_mrg == n),
-        SpaceRow(
-            A.QUICK,
-            "O(n log n)",
-            f"recursion depth, max of {quick_trials} runs",
-            depth,
-            2 * log2n,
-            depth <= 2 * log2n,
-            note=_QUICK_SPACE_NOTE,
-        ),
-        SpaceRow(A.BUCKET, "O(n)", "aux slots", m_bkt, 2 * n, m_bkt <= 2 * n),
-        SpaceRow(A.RADIX, "O(n+k)", "aux slots", m_rdx, n + 256, m_rdx <= n + 256),
-        SpaceRow(A.BUBBLE, "O(1)", "aux slots", m_bub, 0, m_bub == 0),
-        SpaceRow(A.UHS, "O(1)", "aux slots", m_uhs, 0, m_uhs == 0),
-    ]
+    rows = []
+    for algorithm, spec in SPECS.items():
+        budget = spec.aux_budget(n)
+        if algorithm is AlgorithmId.QUICK:
+            ok = depth <= 2 * log2n and quick_aux == budget
+            metric = f"recursion depth, max of {quick_trials} runs"
+            rows.append(SpaceRow(algorithm, spec.space, metric, depth, 2 * log2n, ok,
+                                 note=_QUICK_SPACE_NOTE))
+        else:
+            _, c = counted_sort(algorithm, keys[spec.keys][:], seed=seed)
+            m = c.aux_peak_slots
+            rows.append(SpaceRow(algorithm, spec.space, "aux slots", m, budget, m == budget))
+    return rows
 
 
 def stability_table(seed: int = 0, trials: int = 10_000) -> list[StabilityRow]:
     """Stability verdict for every algorithm against its designed behavior."""
     return [
-        StabilityRow(stability_check(alg, trials=trials, seed=seed), STABILITY_EXPECTED[alg])
-        for alg in AlgorithmId
+        StabilityRow(stability_check(alg, trials=trials, seed=seed), spec.stable)
+        for alg, spec in SPECS.items()
     ]
 
 
@@ -507,8 +499,9 @@ def dynamic_scenario(ops: Sequence[tuple], check_every: int = 1000) -> DynamicRe
 
     After every op the maximum and the live size must agree; any divergence
     raises DifferentialError with the failing prefix. The oracle pays
-    element shifts for keeping a flat sorted list; the heap pays comparisons
-    -- the report's curves track both cumulative costs.
+    element shifts for keeping a flat sorted list; the heap pays comparisons,
+    counting each equality probe of the scan that finds a removal target --
+    the report's curves track both cumulative costs.
     """
     heap = Heap(order=HeapOrder.MAX_AT_ROOT)
     counters = OpCounters()
@@ -542,6 +535,7 @@ def dynamic_scenario(ops: Sequence[tuple], check_every: int = 1000) -> DynamicRe
             value = oracle.pop(rank)
             shifts += len(oracle) - rank
             idx = heap.elements.index(value, 0, heap.heap_size)
+            counters.add(comparisons=idx + 1)  # the scan's equality probes
             heap.remove_at(idx, counters)
         else:
             raise fail(f"unknown op {op!r}")

@@ -363,8 +363,6 @@ def radix_sort(
         if not 0 <= v < limit:
             raise KeyDomainError(f"radix key {v} outside 0..{limit - 1} for plan {plan}")
     base = plan.base
-    pow2 = base & (base - 1) == 0
-    bits = base.bit_length() - 1
     moves = 0
     digit_order = range(base) if order is SortOrder.ASCENDING else range(base - 1, -1, -1)
 
@@ -372,30 +370,16 @@ def radix_sort(
         with counters.scratch(n + base):
             src = elements[:]  # staging mirror; same positions, not a move
             counts = [0] * base
-            if pow2:
-                shift = p * bits
-                mask = base - 1
-                for x in src:
-                    counts[(get(x) >> shift) & mask] += 1
-                total = 0
-                for d in digit_order:
-                    counts[d], total = total, total + counts[d]
-                for x in src:
-                    d = (get(x) >> shift) & mask
-                    elements[counts[d]] = x
-                    counts[d] += 1
-                    moves += 1
-            else:
-                div = base**p
-                for x in src:
-                    counts[(get(x) // div) % base] += 1
-                total = 0
-                for d in digit_order:
-                    counts[d], total = total, total + counts[d]
-                for x in src:
-                    d = (get(x) // div) % base
-                    elements[counts[d]] = x
-                    counts[d] += 1
-                    moves += 1
+            div = base**p
+            for x in src:
+                counts[(get(x) // div) % base] += 1
+            total = 0
+            for d in digit_order:
+                counts[d], total = total, total + counts[d]
+            for x in src:
+                d = (get(x) // div) % base
+                elements[counts[d]] = x
+                counts[d] += 1
+                moves += 1
 
     counters.add(element_moves=moves)

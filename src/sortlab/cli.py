@@ -23,7 +23,8 @@ from .analysis import (
 from .baseline_sorts import AlgorithmId, KeyDomainError, PivotRule
 from .heap_core import Heap, HeapOrder, build, is_heap
 from .instrumentation import (
-    STABILITY_EXPECTED,
+    SPECS,
+    KeyDomain,
     build_cost_audit,
     counted_sort,
     stability_check,
@@ -38,7 +39,12 @@ _PIVOT_VALUES = [p.value for p in PivotRule]
 
 def _size_item(token: str) -> int:
     token = token.strip()
-    n = 2 ** int(token[2:]) if token.startswith("2^") else int(token)
+    if token.startswith("2^"):
+        exponent = int(token[2:])
+        if exponent < 0:
+            raise ValueError(f"size {token!r} has a negative exponent")
+        return 2**exponent
+    n = int(token)
     if n < 0:
         raise ValueError(f"size {token!r} is negative")
     return n
@@ -173,11 +179,10 @@ def _read_values(args) -> list | int:
 
 def _cmd_sort(args) -> int:
     algorithm = AlgorithmId(args.algorithm)
-    if algorithm is AlgorithmId.BUCKET and not args.float:
-        print("bucket sort takes float keys in [0, 1); pass --float", file=sys.stderr)
-        return 2
-    if algorithm is AlgorithmId.RADIX and args.float:
-        print("radix sort takes non-negative integer keys; drop --float", file=sys.stderr)
+    domain = SPECS[algorithm].keys
+    if domain is not KeyDomain.COMPARABLE and args.float != (domain is KeyDomain.UNIT_FLOAT):
+        fix = "drop" if args.float else "pass"
+        print(f"{algorithm.value} sort takes {domain.value}; {fix} --float", file=sys.stderr)
         return 2
     values = _read_values(args)
     if isinstance(values, int):
@@ -214,8 +219,9 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
-    if AlgorithmId.RADIX in algorithms and Distribution.UNIFORM01 in distributions:
-        print("radix sort cannot take uniform01 (float) keys", file=sys.stderr)
+    int_only = [a for a in algorithms if SPECS[a].keys is KeyDomain.NONNEG_INT]
+    if int_only and Distribution.UNIFORM01 in distributions:
+        print(f"{int_only[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
         return 2
     records = run_sweep(
         algorithms,
@@ -240,12 +246,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stability(args) -> int:
     ok = True
-    for value in args.algorithms:
-        algorithm = AlgorithmId(value)
+    for algorithm in map(AlgorithmId, args.algorithms):
         verdict = stability_check(algorithm, trials=args.trials, seed=args.seed)
         print(verdict.describe())
-        if verdict.stable != STABILITY_EXPECTED[algorithm]:
-            ok = False
+        ok &= verdict.stable == SPECS[algorithm].stable
     return 0 if ok else 1
 
 
@@ -282,28 +286,19 @@ def _check_heap_invariants(seed: int) -> tuple[bool, list[str]]:
 
 def _check_differential(seed: int) -> tuple[bool, list[str]]:
     rng = random.Random(seed)
-    comparison_algs = [
-        AlgorithmId.INSERTION,
-        AlgorithmId.MERGE,
-        AlgorithmId.QUICK,
-        AlgorithmId.BUBBLE,
-        AlgorithmId.UHS,
-    ]
     for trial in range(250):
         n = rng.randint(0, 100)
         ints = [rng.randint(0, max(1, 4 * n)) for _ in range(n)]
         floats = [rng.random() for _ in range(n)]
-        for algorithm in comparison_algs + [AlgorithmId.RADIX]:
-            got, _ = counted_sort(algorithm, ints[:], seed=trial)
-            if got != sorted(ints):
-                return False, [f"trial {trial}: {algorithm.value} missorted {ints!r}"]
-        got, _ = counted_sort(AlgorithmId.BUCKET, floats[:], seed=trial)
-        if got != sorted(floats):
-            return False, [f"trial {trial}: bucket missorted"]
+        for algorithm, spec in SPECS.items():
+            keys = floats if spec.keys is KeyDomain.UNIT_FLOAT else ints
+            got, _ = counted_sort(algorithm, keys[:], seed=trial)
+            if got != sorted(keys):
+                return False, [f"trial {trial}: {algorithm.value} missorted {keys!r}"]
         got, _ = counted_sort(AlgorithmId.UHS, ints[:], SortOrder.DESCENDING)
         if got != sorted(ints, reverse=True):
             return False, [f"trial {trial}: descending sort missorted {ints!r}"]
-    return True, ["250 randomized trials x 7 algorithms against the sorted() oracle"]
+    return True, [f"250 randomized trials x {len(SPECS)} algorithms against the sorted() oracle"]
 
 
 def _check_dynamic(seed: int) -> tuple[bool, list[str]]:

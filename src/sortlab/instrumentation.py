@@ -1,18 +1,21 @@
-"""Measurement harness: counted dispatch, stability probing, build-cost audit.
+"""Measurement harness: algorithm specs, counted dispatch, stability probing.
 
-`counted_sort` is the single entry point the benchmarks and the CLI use to run
-any algorithm with a fresh operation ledger. `stability_check` hunts for the
-smallest reordering witness an algorithm admits, and `build_cost_audit`
-confirms the linear bound on bottom-up heap construction.
+`SPECS` is the one table of what each algorithm claims. `counted_sort` is the
+single entry point the benchmarks and the CLI use to run any algorithm with a
+fresh operation ledger. `stability_check` hunts for the smallest reordering
+witness an algorithm admits, and `build_cost_audit` confirms the linear bound
+on bottom-up heap construction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from enum import Enum
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
+# The sort functions are module attributes that `counted_sort` reaches by name.
 from .baseline_sorts import (
     AlgorithmId,
     PivotRule,
@@ -30,6 +33,9 @@ from .uhs_sort import SortOrder, uhs_sort
 
 __all__ = [
     "OpCounters",
+    "KeyDomain",
+    "AlgorithmSpec",
+    "SPECS",
     "TaggedElement",
     "StabilityVerdict",
     "BuildCostRow",
@@ -39,16 +45,50 @@ __all__ = [
     "build_cost_audit",
 ]
 
-# Stability each algorithm is designed to provide; `stability_check` must agree.
-STABILITY_EXPECTED: dict[AlgorithmId, bool] = {
-    AlgorithmId.INSERTION: True,
-    AlgorithmId.MERGE: True,
-    AlgorithmId.QUICK: False,
-    AlgorithmId.BUCKET: True,
-    AlgorithmId.RADIX: True,
-    AlgorithmId.BUBBLE: True,
-    AlgorithmId.UHS: False,
+class KeyDomain(Enum):
+    """The keys an algorithm accepts."""
+
+    COMPARABLE = "any comparable keys"
+    UNIT_FLOAT = "float keys in [0, 1)"
+    NONNEG_INT = "non-negative integer keys"
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """What one algorithm is designed to do.
+
+    ``sort`` names its function in this module; `counted_sort` looks it up on
+    every call, so a wrapper set on the module attribute sees each dispatch.
+    ``options`` are the `counted_sort` keywords that function takes, and
+    ``aux_budget(n)`` is its exact peak of auxiliary slots on n >= 2 keys.
+    """
+
+    sort: str
+    stable: bool
+    keys: KeyDomain
+    options: tuple[str, ...]
+    space: str  # claimed space class
+    aux_budget: Callable[[int], int]
+
+
+_ANY, _UNIT, _NAT = KeyDomain.COMPARABLE, KeyDomain.UNIT_FLOAT, KeyDomain.NONNEG_INT
+
+# Bucket holds n buckets plus n elements; radix a staging copy plus k counts,
+# k being the default plan's base.
+SPECS: dict[AlgorithmId, AlgorithmSpec] = {
+    AlgorithmId.INSERTION: AlgorithmSpec("insertion_sort", True, _ANY, (), "O(1)", lambda n: 0),
+    AlgorithmId.MERGE: AlgorithmSpec("merge_sort", True, _ANY, (), "O(n)", lambda n: n),
+    AlgorithmId.QUICK: AlgorithmSpec(
+        "quicksort", False, _ANY, ("pivot", "seed"), "O(n log n)", lambda n: 0),
+    AlgorithmId.BUCKET: AlgorithmSpec(
+        "bucket_sort", True, _UNIT, ("bucket_count", "key"), "O(n)", lambda n: 2 * n),
+    AlgorithmId.RADIX: AlgorithmSpec(
+        "radix_sort", True, _NAT, ("plan", "key"), "O(n+k)", lambda n: n + RadixPlan().base),
+    AlgorithmId.BUBBLE: AlgorithmSpec("bubble_sort", True, _ANY, (), "O(1)", lambda n: 0),
+    AlgorithmId.UHS: AlgorithmSpec("uhs_sort", False, _ANY, (), "O(1)", lambda n: 0),
 }
+
+STABILITY_EXPECTED: dict[AlgorithmId, bool] = {a: s.stable for a, s in SPECS.items()}
 
 
 class TaggedElement:
@@ -124,29 +164,18 @@ def counted_sort(
 ) -> tuple[list, OpCounters]:
     """Sort ``elements`` in place with ``algorithm`` under a fresh counter set.
 
-    Returns the (mutated) list and the counters. ``key`` is honored only by
-    the distribution sorts (bucket, radix); the comparison sorts order whole
-    elements.
+    Returns the (mutated) list and the counters. Only the keywords in the
+    algorithm's ``SPECS`` options reach its sort, so ``key`` is honored only
+    by the distribution sorts; the comparison sorts order whole elements.
     """
-    counters = OpCounters()
-    if key is not None and algorithm not in (AlgorithmId.BUCKET, AlgorithmId.RADIX):
-        raise ValueError(f"{algorithm.value} does not take a key function")
-    if algorithm is AlgorithmId.INSERTION:
-        insertion_sort(elements, order, counters)
-    elif algorithm is AlgorithmId.MERGE:
-        merge_sort(elements, order, counters)
-    elif algorithm is AlgorithmId.QUICK:
-        quicksort(elements, order, counters, pivot=pivot, seed=seed)
-    elif algorithm is AlgorithmId.BUCKET:
-        bucket_sort(elements, order, counters, bucket_count=bucket_count, key=key)
-    elif algorithm is AlgorithmId.RADIX:
-        radix_sort(elements, order, counters, plan=radix_plan, key=key)
-    elif algorithm is AlgorithmId.BUBBLE:
-        bubble_sort(elements, order, counters)
-    elif algorithm is AlgorithmId.UHS:
-        uhs_sort(elements, order, counters)
-    else:
+    spec = SPECS.get(algorithm) if isinstance(algorithm, AlgorithmId) else None
+    if spec is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if key is not None and "key" not in spec.options:
+        raise ValueError(f"{algorithm.value} does not take a key function")
+    given = dict(seed=seed, pivot=pivot, bucket_count=bucket_count, plan=radix_plan, key=key)
+    counters = OpCounters()
+    globals()[spec.sort](elements, order, counters, **{k: given[k] for k in spec.options})
     return elements, counters
 
 
@@ -168,7 +197,7 @@ def _run_tagged(
     algorithm: AlgorithmId, keys: Sequence, seed: int, pivot: PivotRule
 ) -> list[TaggedElement]:
     arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
-    key = _tagged_key if algorithm in (AlgorithmId.BUCKET, AlgorithmId.RADIX) else None
+    key = _tagged_key if "key" in SPECS[algorithm].options else None
     counted_sort(algorithm, arr, seed=seed, pivot=pivot, key=key)
     return arr
 
@@ -188,36 +217,27 @@ def stability_check(
     duplicate-heavy arrays up to ``max_n`` elements. Any witness found is
     re-run before being reported.
     """
+    floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+
+    def candidates():  # (raw int keys, span that maps them into [0, 1))
+        for n in range(2, 7):
+            for combo in product(range(3), repeat=n):
+                if len(set(combo)) < n:  # all-distinct keys cannot witness anything
+                    yield combo, 4
+        rng = random.Random(seed)
+        for _ in range(trials):
+            size = rng.randint(2, max_n)
+            top = max(1, size // 4)
+            yield [rng.randint(0, top) for _ in range(size)], top + 1
+
     examined = 0
-
-    def adapt(raw: Sequence[int], span: int) -> list:
-        if algorithm is AlgorithmId.BUCKET:
-            return [r / span for r in raw]
-        return list(raw)
-
-    for n in range(2, 7):
-        for combo in product(range(3), repeat=n):
-            if len(set(combo)) == n:
-                continue  # all-distinct keys cannot witness anything
-            keys = adapt(combo, 4)
-            examined += 1
-            if _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
-                if not _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
-                    raise RuntimeError(f"witness {keys!r} did not reproduce")
-                return StabilityVerdict(algorithm, False, examined, list(keys))
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        size = rng.randint(2, max_n)
-        top = max(1, size // 4)
-        raw = [rng.randint(0, top) for _ in range(size)]
-        keys = adapt(raw, top + 1)
+    for raw, span in candidates():
+        keys = [r / span for r in raw] if floats else list(raw)
         examined += 1
         if _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
             if not _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
                 raise RuntimeError(f"witness {keys!r} did not reproduce")
             return StabilityVerdict(algorithm, False, examined, keys)
-
     return StabilityVerdict(algorithm, True, examined, None)
 
 

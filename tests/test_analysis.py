@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sortlab.analysis as analysis
 from sortlab.analysis import (
     CSV_HEADER,
     FAST_SIZES,
@@ -222,6 +223,14 @@ class TestDynamic:
         assert exc.value.step == 2
         assert exc.value.prefix == [("push", 5), ("pop",), ("pop",)]
 
+    def test_removal_scan_probes_are_counted(self):
+        # push 5 (free), push 3 (one climb comparison), then remove 3: the
+        # scan probes slots 0 and 1, and removing the last slot compares nothing
+        report = dynamic_scenario([("push", 5), ("push", 3), ("remove", 0)])
+        assert report.heap_counters.comparisons == 3
+        assert report.heap_curve == [0, 1, 3]
+        assert report.oracle_curve == [0, 1, 2]
+
     def test_unknown_op_rejected(self):
         with pytest.raises(DifferentialError):
             dynamic_scenario([("frobnicate",)])
@@ -233,3 +242,22 @@ def test_standalone_tables_agree_with_bundle():
     assert {r.algorithm for r in space} == set(AlgorithmId)
     stab = stability_table(seed=0, trials=100)
     assert all(r.ok for r in stab)
+
+
+def test_space_rows_meet_budgets_exactly_on_domain_keys(monkeypatch):
+    inputs = {}
+    real = analysis.counted_sort
+
+    def spy(algorithm, elements, *args, **kw):
+        inputs.setdefault(algorithm, list(elements))
+        return real(algorithm, elements, *args, **kw)
+
+    monkeypatch.setattr(analysis, "counted_sort", spy)
+    rows = space_table(seed=0, n=256, quick_trials=5)
+    aux_rows = [r for r in rows if r.metric == "aux slots"]
+    assert len(aux_rows) == len(AlgorithmId) - 1
+    assert all(r.measured == r.budget and r.ok for r in aux_rows)
+    # the radix row sorts n random 16-bit keys, not n copies of one key
+    radix_keys = inputs[AlgorithmId.RADIX]
+    assert len(set(radix_keys)) > 1 and max(radix_keys) < 65536
+    assert all(0 <= k < 1 for k in inputs[AlgorithmId.BUCKET])

@@ -162,6 +162,16 @@ class TestBenchCommand:
         code, _, _ = run_cli(capsys, ["bench", "--sizes", "banana"])
         assert code == 2
 
+    def test_negative_exponent_is_usage_error(self, capsys):
+        import argparse
+
+        for bad in ("2^-1", "2^-1..2^3", "8,2^-2"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_sizes(bad)
+        code, out, err = run_cli(capsys, ["bench", "--sizes", "2^-1"])
+        assert code == 2 and out == ""
+        assert "negative exponent" in err
+
     def test_unknown_algorithm_in_list(self, capsys):
         code, _, _ = run_cli(capsys, ["bench", "--algorithms", "uhs,warp"])
         assert code == 2

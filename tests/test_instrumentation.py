@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sortlab.instrumentation as instrumentation
 from sortlab.baseline_sorts import AlgorithmId, PivotRule
 from sortlab.instrumentation import (
+    SPECS,
     STABILITY_EXPECTED,
     BuildCostRow,
     OpCounters,
@@ -68,6 +73,43 @@ class TestOpCounters:
 
         nest(0)
         assert c.aux_peak_slots == (max(prefix) if prefix else 0)
+
+
+class TestSpecs:
+    def test_one_row_per_algorithm_in_enum_order(self):
+        assert set(SPECS) == set(AlgorithmId)
+        assert list(SPECS) == list(AlgorithmId)
+
+    def test_sort_names_are_module_callables(self):
+        for spec in SPECS.values():
+            assert callable(getattr(instrumentation, spec.sort, None)), spec.sort
+
+    def test_stability_expected_is_a_view_of_the_table(self):
+        assert STABILITY_EXPECTED == {a: s.stable for a, s in SPECS.items()}
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError):
+            counted_sort("uhs", [1])
+
+    def test_dispatch_goes_through_the_module_attribute(self, monkeypatch):
+        calls = []
+        real = instrumentation.merge_sort
+
+        def wrapper(elements, order, counters, **kw):
+            calls.append(len(elements))
+            return real(elements, order, counters, **kw)
+
+        monkeypatch.setattr(instrumentation, "merge_sort", wrapper)
+        out, counters = counted_sort(AlgorithmId.MERGE, [3, 1, 2])
+        assert calls == [3]
+        assert out == [1, 2, 3] and counters.comparisons > 0
+
+    def test_readme_table_matches_specs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)`\s*\|.*\|\s*(yes|no)\s*\|$", readme, re.MULTILINE)
+        assert sorted(name for name, _ in rows) == sorted(a.value for a in AlgorithmId)
+        for name, stable in rows:
+            assert (stable == "yes") == SPECS[AlgorithmId(name)].stable, name
 
 
 class TestTaggedElement:
