@@ -44,12 +44,7 @@ from .heap_core import (
     HeapIndexError,
     HeapOrder,
     build,
-    heapify_iterable,
     is_heap,
-    left,
-    node_height,
-    parent,
-    right,
 )
 from .instrumentation import (
     STABILITY_EXPECTED,
@@ -96,18 +91,13 @@ __all__ = [
     "generate_input",
     "growth_fit",
     "heap_order_for",
-    "heapify_iterable",
     "insertion_sort",
     "is_heap",
-    "left",
     "make_workload",
     "merge_sort",
-    "node_height",
-    "parent",
     "quicksort",
     "radix_sort",
     "reproduce_tables",
-    "right",
     "run_sweep",
     "sorted_region_invariant",
     "space_table",

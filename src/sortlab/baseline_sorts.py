@@ -61,14 +61,13 @@ class RadixPlan:
     @classmethod
     def for_max_key(cls, max_key: int, base: int = 256) -> "RadixPlan":
         """Smallest plan covering keys 0..max_key (byte-wise by default)."""
+        if not isinstance(max_key, int):  # a float infinity would never be covered
+            raise KeyDomainError(f"radix sort requires integer keys, got {max_key!r}")
         if max_key < 0:
             raise KeyDomainError(f"radix keys must be non-negative, got max {max_key}")
-        if base == 256:
-            digits = max(1, (int(max_key).bit_length() + 7) // 8)
-        else:
-            digits = 1
-            while base**digits <= max_key:
-                digits += 1
+        digits = 1
+        while base**digits <= max_key:
+            digits += 1
         return cls(base=base, digits=digits)
 
 

@@ -10,7 +10,6 @@ import random
 import sys
 from pathlib import Path
 
-from . import heap_core
 from .analysis import (
     DifferentialError,
     Distribution,
@@ -146,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma list of checks (default all: {', '.join(_CHECKS)})",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -245,6 +243,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.trials < 1:
+        print("--trials must be >= 1", file=sys.stderr)
+        return 2
     ok = True
     for algorithm in map(AlgorithmId, args.algorithms):
         verdict = stability_check(algorithm, trials=args.trials, seed=args.seed)
@@ -330,18 +331,13 @@ _CHECKS = {
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
     all_ok = True
-    if args.inject_fault:
-        heap_core._FAULT_SIFT_DOWN_BLIND_RIGHT = True
-    try:
-        for name in names:
-            ok, detail = _CHECKS[name](args.seed)
-            print(f"{name}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                for line in detail:
-                    print(f"  {line}")
-                all_ok = False
-    finally:
-        heap_core._FAULT_SIFT_DOWN_BLIND_RIGHT = False
+    for name in names:
+        ok, detail = _CHECKS[name](args.seed)
+        print(f"{name}: {'PASS' if ok else 'FAIL'}")
+        if not ok:
+            for line in detail:
+                print(f"  {line}")
+            all_ok = False
     return 0 if all_ok else 1
 
 

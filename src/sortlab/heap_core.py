@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 from .counting import OpCounters
 
@@ -39,51 +39,6 @@ class EmptyHeapError(IndexError):
 
 class HeapIndexError(IndexError):
     """Raised when an index falls outside the live heap prefix."""
-
-
-# Test-only fault switch: when set, the top-down sift ignores right children,
-# which corrupts the order invariant in a way is_heap detects. Used by the
-# verification harness to prove its own checks can catch an injected bug.
-# The top-down sift reads it once per call, outside its loop.
-_FAULT_SIFT_DOWN_BLIND_RIGHT = False
-
-
-def left(i: int) -> int:
-    """Index of the left child of node ``i``."""
-    if i < 0:
-        raise ValueError(f"negative node index {i}")
-    return 2 * i + 1
-
-
-def right(i: int) -> int:
-    """Index of the right child of node ``i``."""
-    if i < 0:
-        raise ValueError(f"negative node index {i}")
-    return 2 * i + 2
-
-
-def parent(i: int) -> int:
-    """Index of the parent of node ``i``; the root has none."""
-    if i <= 0:
-        raise ValueError(f"node {i} has no parent")
-    return (i - 1) // 2
-
-
-def node_height(i: int, n: int) -> int:
-    """Height of node ``i`` in a complete tree of ``n`` nodes (leaves are 0).
-
-    In a left-filled complete tree the leftmost path of any subtree is a
-    deepest path, so the height is the length of the chain of left children
-    that stays inside the tree.
-    """
-    if not 0 <= i < n:
-        raise ValueError(f"node {i} not in a tree of {n} nodes")
-    h = 0
-    j = 2 * i + 1
-    while j < n:
-        h += 1
-        j = 2 * j + 1
-    return h
 
 
 def is_heap(elements, size: int | None = None, order: HeapOrder = HeapOrder.MAX_AT_ROOT) -> bool:
@@ -118,8 +73,6 @@ def _sift_down(a: list, n: int, hole: int, gt: Callable) -> tuple[int, int]:
     """
     x = a[hole]
     start = hole
-    # The fault hides every right child by putting none of them in range.
-    right_end = 0 if _FAULT_SIFT_DOWN_BLIND_RIGHT else n
     cmp = 0
     try:
         child = 2 * hole + 1
@@ -128,13 +81,13 @@ def _sift_down(a: list, n: int, hole: int, gt: Callable) -> tuple[int, int]:
             cmp += 1
             if not gt(v, x):
                 child += 1
-                if child >= right_end:
+                if child >= n:
                     break
                 v = a[child]
                 cmp += 1
                 if not gt(v, x):
                     break
-            elif child + 1 < right_end:
+            elif child + 1 < n:
                 cmp += 1
                 w = a[child + 1]
                 if gt(w, v):
@@ -335,8 +288,3 @@ def build(
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
     return heap
-
-
-def heapify_iterable(values: Iterable, order: HeapOrder = HeapOrder.MAX_AT_ROOT) -> Heap:
-    """Convenience: copy ``values`` into a fresh list and build a heap over it."""
-    return build(list(values), order)

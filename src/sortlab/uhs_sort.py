@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Callable
 
 from .counting import OpCounters
 from .heap_core import HeapOrder, _sift_leafward, build, is_heap
@@ -38,15 +37,12 @@ def uhs_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
-    checkpoint: Callable[[list, int], None] | None = None,
 ) -> None:
     """Sort ``elements`` in place using zero auxiliary element slots.
 
     Each extraction moves the root to its final slot (one element move, no
     comparison) and refills the root with the element it displaced, by the
-    leafward sift. ``checkpoint``, when given, is called as
-    ``checkpoint(elements, heap_size)`` after every extraction so tests can
-    audit the prefix-heap/suffix-sorted loop invariant mid-sort.
+    leafward sift.
     """
     n = len(elements)
     if n <= 1:
@@ -54,22 +50,17 @@ def uhs_sort(
     if counters is None:
         counters = OpCounters()
     heap = build(elements, heap_order_for(order), counters)
-    a = elements
     gt = heap._gt
     cmp = moves = 0
     for size in range(n - 1, 0, -1):
-        c, m = _sift_leafward(a, size, gt)
+        c, m = _sift_leafward(elements, size, gt)
         cmp += c
         moves += m
-        if checkpoint is not None:
-            heap.heap_size = size
-            checkpoint(a, size)
-    heap.heap_size = 0
     counters.add(comparisons=cmp, element_moves=moves)
 
 
 def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrder.ASCENDING) -> bool:
-    """Mid-sort checkpoint: heap prefix, sorted suffix, suffix dominates prefix.
+    """Mid-sort loop invariant: heap prefix, sorted suffix, suffix dominates prefix.
 
     True iff ``elements[0:heap_size]`` is a valid heap for ``order``,
     ``elements[heap_size:]`` is sorted per ``order``, and every suffix element

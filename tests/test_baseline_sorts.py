@@ -307,6 +307,8 @@ class TestRadix:
         with pytest.raises(KeyDomainError):
             radix_sort([1.5])
         with pytest.raises(KeyDomainError):
+            radix_sort([float("inf")])
+        with pytest.raises(KeyDomainError):
             radix_sort([3, -1])
         with pytest.raises(KeyDomainError):
             radix_sort([256], plan=RadixPlan(256, 1))

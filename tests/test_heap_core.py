@@ -1,5 +1,4 @@
 import heapq
-import math
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -15,74 +14,10 @@ from sortlab.heap_core import (
     HeapIndexError,
     HeapOrder,
     build,
-    heapify_iterable,
     is_heap,
-    left,
-    node_height,
-    parent,
-    right,
 )
 from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import uhs_sort
-
-
-class TestIndexMath:
-    def test_child_formulas_and_roundtrip(self):
-        for i in range(1001):
-            assert left(i) == 2 * i + 1
-            assert right(i) == 2 * i + 2
-            assert right(i) == left(i) + 1
-            assert parent(left(i)) == i
-            assert parent(right(i)) == i
-
-    def test_every_node_maps_to_exactly_one_parent(self):
-        # indices 1..n partition into left-children (odd) and right-children (even)
-        for j in range(1, 1001):
-            p = parent(j)
-            assert j in (left(p), right(p))
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            parent(0)
-        with pytest.raises(ValueError):
-            parent(-3)
-
-    def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError):
-            left(-1)
-        with pytest.raises(ValueError):
-            right(-1)
-
-
-class TestNodeHeight:
-    def _oracle(self, i: int, n: int) -> int:
-        kids = [c for c in (left(i), right(i)) if c < n]
-        if not kids:
-            return 0
-        return 1 + max(self._oracle(c, n) for c in kids)
-
-    def test_matches_recursive_oracle(self):
-        for n in range(1, 130):
-            for i in range(n):
-                assert node_height(i, n) == self._oracle(i, n), (i, n)
-
-    def test_root_height_is_floor_log2(self):
-        for n in range(1, 600):
-            assert node_height(0, n) == int(math.log2(n))
-
-    def test_heights_sum_below_n(self):
-        # the linear build bound rests on this: total height <= n - 1
-        for n in [1, 2, 3, 4, 5, 16, 100, 1000, 4096]:
-            total = sum(node_height(i, n) for i in range(n))
-            assert total <= n - 1 or n == 1
-
-    def test_out_of_tree_rejected(self):
-        with pytest.raises(ValueError):
-            node_height(3, 3)
-        with pytest.raises(ValueError):
-            node_height(-1, 3)
-        with pytest.raises(ValueError):
-            node_height(0, 0)
 
 
 def _ancestor_oracle(a, order):
@@ -225,11 +160,6 @@ class TestBuild:
             build(a, counters=c)
             assert c.as_dict() == OpCounters().as_dict()
 
-    def test_heapify_iterable_accepts_generators(self):
-        h = heapify_iterable(x * x % 7 for x in range(20))
-        assert is_heap(h.elements)
-        assert len(h) == 20
-
     @given(st.lists(st.integers()))
     def test_property_build_yields_heap(self, xs):
         build(xs)
@@ -308,7 +238,7 @@ class TestHeapLifecycle:
     def test_max_drain_is_descending(self):
         rng = random.Random(3)
         vals = [rng.randint(0, 20) for _ in range(40)]
-        h = heapify_iterable(vals)
+        h = build(list(vals))
         assert [h.pop_root() for _ in range(len(h))] == sorted(vals, reverse=True)
 
     def test_remove_at_returns_element_and_keeps_heap(self):
@@ -316,7 +246,7 @@ class TestHeapLifecycle:
         for _ in range(200):
             n = rng.randint(1, 50)
             vals = rng.sample(range(1000), n)
-            h = heapify_iterable(vals)
+            h = build(list(vals))
             i = rng.randrange(n)
             removed = h.remove_at(i)
             assert is_heap(h.elements, h.heap_size)

@@ -1,0 +1,63 @@
+import inspect
+
+import sortlab
+import sortlab.heap_core as heap_core
+from sortlab.uhs_sort import uhs_sort
+
+EXPECTED_ALL = {
+    "AlgorithmId",
+    "BenchRecord",
+    "BuildCostRow",
+    "Complexity",
+    "DifferentialError",
+    "Distribution",
+    "DynamicReport",
+    "EmptyHeapError",
+    "GrowthClass",
+    "Heap",
+    "HeapIndexError",
+    "HeapOrder",
+    "InsufficientDataError",
+    "KeyDomainError",
+    "OpCounters",
+    "PivotRule",
+    "RadixPlan",
+    "STABILITY_EXPECTED",
+    "SortOrder",
+    "StabilityVerdict",
+    "TableReport",
+    "TaggedElement",
+    "bubble_sort",
+    "bucket_sort",
+    "build",
+    "build_cost_audit",
+    "counted_sort",
+    "dynamic_scenario",
+    "generate_input",
+    "growth_fit",
+    "heap_order_for",
+    "insertion_sort",
+    "is_heap",
+    "make_workload",
+    "merge_sort",
+    "quicksort",
+    "radix_sort",
+    "reproduce_tables",
+    "run_sweep",
+    "sorted_region_invariant",
+    "space_table",
+    "stability_check",
+    "stability_table",
+    "time_table",
+    "uhs_sort",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(sortlab.__all__) == len(set(sortlab.__all__)) == 45
+    assert set(sortlab.__all__) == EXPECTED_ALL
+    for name in sortlab.__all__:
+        assert getattr(sortlab, name) is not None, name
+    # no test-only hook is left in the library
+    assert not [name for name in dir(heap_core) if name.startswith("_FAULT")]
+    assert "checkpoint" not in inspect.signature(uhs_sort).parameters

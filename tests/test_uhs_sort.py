@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortlab.counting import OpCounters
-from sortlab.heap_core import HeapOrder
+from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import (
     SortOrder,
@@ -127,22 +127,26 @@ class TestAccounting:
 
 
 class TestLoopInvariant:
-    def test_checkpoint_runs_once_per_extraction(self):
-        seen = []
-        a = list(range(64, 0, -1))
-        uhs_sort(a, checkpoint=lambda arr, size: seen.append(size))
-        assert seen == list(range(63, 0, -1))
-
     @pytest.mark.parametrize("order", list(SortOrder))
     def test_prefix_heap_suffix_sorted_at_every_step(self, order):
+        # Draining a built heap with pop_root runs the same leafward sifts as
+        # uhs_sort's extraction loop, so the invariant is audited after each
+        # pop and the drain must then agree with uhs_sort element for element.
         rng = random.Random(77)
         for _ in range(200):
-            a = [rng.randint(-40, 40) for _ in range(64)]
-
-            def audit(arr, size):
-                assert sorted_region_invariant(arr, size, order), (arr, size)
-
-            uhs_sort(a, order, checkpoint=audit)
+            keys = [rng.randint(-40, 40) for _ in range(rng.randint(0, 80))]
+            a = [TaggedElement(k, i) for i, k in enumerate(keys)]
+            b = a[:]
+            drain_counts = OpCounters()
+            h = build(b, heap_order_for(order), drain_counts)
+            drained = []
+            while len(h):
+                drained.append(h.pop_root(drain_counts))
+                assert sorted_region_invariant(b, len(h), order), (keys, len(h))
+            sort_counts = OpCounters()
+            uhs_sort(a, order, sort_counts)
+            assert [e.origin for e in reversed(drained)] == [e.origin for e in a]
+            assert drain_counts.as_dict() == sort_counts.as_dict()
 
     def test_invariant_helper_accepts_valid_split(self):
         assert sorted_region_invariant([5, 1, 3, 7, 9], 3)
