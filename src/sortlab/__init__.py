@@ -29,7 +29,6 @@ from .baseline_sorts import (
     AlgorithmId,
     KeyDomainError,
     PivotRule,
-    RadixPlan,
     bubble_sort,
     bucket_sort,
     insertion_sort,
@@ -76,7 +75,6 @@ __all__ = [
     "KeyDomainError",
     "OpCounters",
     "PivotRule",
-    "RadixPlan",
     "STABILITY_EXPECTED",
     "SortOrder",
     "StabilityVerdict",

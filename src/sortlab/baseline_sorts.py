@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -40,35 +39,7 @@ class KeyDomainError(ValueError):
     """A key falls outside the domain an algorithm requires."""
 
 
-@dataclass(frozen=True)
-class RadixPlan:
-    """Digit decomposition for radix sort: ``digits`` passes over base ``base``."""
-
-    base: int = 256
-    digits: int = 1
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"radix base must be >= 2, got {self.base}")
-        if self.digits < 1:
-            raise ValueError(f"radix digit count must be >= 1, got {self.digits}")
-
-    @property
-    def key_limit(self) -> int:
-        """Exclusive upper bound on sortable keys: base ** digits."""
-        return self.base**self.digits
-
-    @classmethod
-    def for_max_key(cls, max_key: int, base: int = 256) -> "RadixPlan":
-        """Smallest plan covering keys 0..max_key (byte-wise by default)."""
-        if not isinstance(max_key, int):  # a float infinity would never be covered
-            raise KeyDomainError(f"radix sort requires integer keys, got {max_key!r}")
-        if max_key < 0:
-            raise KeyDomainError(f"radix keys must be non-negative, got max {max_key}")
-        digits = 1
-        while base**digits <= max_key:
-            digits += 1
-        return cls(base=base, digits=digits)
+RADIX_BASE = 256  # radix sort's digit base: one byte of the key per pass
 
 
 def _after(order: SortOrder) -> Callable:
@@ -286,14 +257,13 @@ def bucket_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
-    bucket_count: int | None = None,
     key: Callable | None = None,
 ) -> None:
     """Stable bucket sort for keys in [0, 1); linear on uniformly spread keys.
 
-    Elements scatter into ``bucket_count`` buckets (default n) by key value,
-    each bucket is insertion-sorted, and buckets are concatenated back.
-    ``key`` extracts the numeric key when elements are key/payload pairs.
+    Elements scatter into n buckets by key value, each bucket is
+    insertion-sorted, and buckets are concatenated back. ``key`` extracts
+    the numeric key when elements are key/payload pairs.
     """
     n = len(elements)
     if n == 0:
@@ -305,17 +275,14 @@ def bucket_sort(
         v = get(x)
         if not 0 <= v < 1:
             raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
-    nbuckets = n if bucket_count is None else bucket_count
-    if nbuckets < 1:
-        raise ValueError(f"bucket_count must be >= 1, got {nbuckets}")
     gt = _after(order)
     cmp = moves = 0
 
-    with counters.scratch(n + nbuckets):
-        buckets: list[list] = [[] for _ in range(nbuckets)]
-        top = nbuckets - 1
+    with counters.scratch(2 * n):
+        buckets: list[list] = [[] for _ in range(n)]
+        top = n - 1
         for x in elements:
-            idx = int(get(x) * nbuckets)
+            idx = int(get(x) * n)
             buckets[idx if idx < top else top].append(x)
             moves += 1
         ordered = buckets if order is SortOrder.ASCENDING else reversed(buckets)
@@ -336,15 +303,16 @@ def radix_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
-    plan: RadixPlan | None = None,
     key: Callable | None = None,
 ) -> None:
-    """Stable LSD radix sort for non-negative integer keys below base**digits.
+    """Stable LSD radix sort for non-negative integer keys, one byte per pass.
 
-    Each digit pass runs a counting sort: tally digit occurrences into a
-    base-sized counting array, turn tallies into starting offsets, then place
-    every element at its new position. Placements are the only counted moves,
-    so the total is exactly digits * n, and no key comparison ever happens.
+    There are as many passes as the largest key has bytes (at least one).
+    Each pass runs a counting sort on one base-256 digit: tally digit
+    occurrences into a counting array, turn tallies into starting offsets,
+    then place every element at its new position. Placements are the only
+    counted moves, so the total is exactly digits * n, and no key comparison
+    ever happens.
     """
     n = len(elements)
     if n == 0:
@@ -352,20 +320,21 @@ def radix_sort(
     if counters is None:
         counters = OpCounters()
     get = key or (lambda v: v)
-    if plan is None:
-        plan = RadixPlan.for_max_key(max(get(x) for x in elements))
-    limit = plan.key_limit
+    top = 0
     for x in elements:
         v = get(x)
         if not isinstance(v, int):
             raise KeyDomainError(f"radix sort requires integer keys, got {v!r}")
-        if not 0 <= v < limit:
-            raise KeyDomainError(f"radix key {v} outside 0..{limit - 1} for plan {plan}")
-    base = plan.base
+        if v < 0:
+            raise KeyDomainError(f"radix keys must be non-negative, got {v}")
+        if v > top:
+            top = v
+    digits = max(1, (top.bit_length() + 7) // 8)
+    base = RADIX_BASE
     moves = 0
     digit_order = range(base) if order is SortOrder.ASCENDING else range(base - 1, -1, -1)
 
-    for p in range(plan.digits):
+    for p in range(digits):
         with counters.scratch(n + base):
             src = elements[:]  # staging mirror; same positions, not a move
             counts = [0] * base

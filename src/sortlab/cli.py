@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a check or verdict failed, 2 bad usage or bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -168,8 +169,8 @@ def _read_values(args) -> list | int:
         except ValueError:
             print(f"input line {ln}: cannot parse {s!r}", file=sys.stderr)
             return 2
-        if value != value:  # only NaN; it compares false with everything
-            print(f"input line {ln}: NaN cannot be sorted", file=sys.stderr)
+        if args.float and not math.isfinite(value):
+            print(f"input line {ln}: NaN and infinities cannot be sorted", file=sys.stderr)
             return 2
         values.append(value)
     return values
@@ -219,8 +220,11 @@ def _cmd_bench(args) -> int:
         return 2
     int_only = [a for a in algorithms if SPECS[a].keys is KeyDomain.NONNEG_INT]
     if int_only and Distribution.UNIFORM01 in distributions:
-        print(f"{int_only[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
-        return 2
+        if set(distributions) == {Distribution.UNIFORM01}:
+            print(f"{int_only[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
+            return 2
+        names = ",".join(a.value for a in int_only)
+        print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
     records = run_sweep(
         algorithms,
         args.sizes,

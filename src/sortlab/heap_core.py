@@ -164,23 +164,16 @@ def _sift_leafward(a: list, last: int, gt: Callable) -> tuple[int, int]:
 class Heap:
     """Mutable heap state: backing list, live size, and direction.
 
-    The constructor trusts that ``elements[0:heap_size]`` already satisfies
-    the order invariant; use :func:`build` to heapify an arbitrary sequence.
-    The backing list is aliased, never copied.
+    The constructor trusts that ``elements`` already satisfies the order
+    invariant; use :func:`build` to heapify an arbitrary sequence. The
+    backing list is aliased, never copied.
     """
 
     __slots__ = ("elements", "heap_size", "order", "_gt")
 
-    def __init__(
-        self,
-        elements: list | None = None,
-        order: HeapOrder = HeapOrder.MAX_AT_ROOT,
-        heap_size: int | None = None,
-    ):
+    def __init__(self, elements: list | None = None, order: HeapOrder = HeapOrder.MAX_AT_ROOT):
         self.elements = [] if elements is None else elements
-        self.heap_size = len(self.elements) if heap_size is None else heap_size
-        if not 0 <= self.heap_size <= len(self.elements):
-            raise ValueError(f"heap_size {self.heap_size} outside 0..{len(self.elements)}")
+        self.heap_size = len(self.elements)
         self.order = order
         self._gt = _strict_dominance(order)
 

@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple, Sequence
 
 # The sort functions are module attributes that `counted_sort` reaches by name.
 from .baseline_sorts import (
+    RADIX_BASE,
     AlgorithmId,
     PivotRule,
-    RadixPlan,
     bubble_sort,
     bucket_sort,
     insertion_sort,
@@ -73,17 +73,17 @@ class AlgorithmSpec:
 
 _ANY, _UNIT, _NAT = KeyDomain.COMPARABLE, KeyDomain.UNIT_FLOAT, KeyDomain.NONNEG_INT
 
-# Bucket holds n buckets plus n elements; radix a staging copy plus k counts,
-# k being the default plan's base.
+# Bucket holds n buckets plus n elements; radix a staging copy plus one count
+# per digit value.
 SPECS: dict[AlgorithmId, AlgorithmSpec] = {
     AlgorithmId.INSERTION: AlgorithmSpec("insertion_sort", True, _ANY, (), "O(1)", lambda n: 0),
     AlgorithmId.MERGE: AlgorithmSpec("merge_sort", True, _ANY, (), "O(n)", lambda n: n),
     AlgorithmId.QUICK: AlgorithmSpec(
         "quicksort", False, _ANY, ("pivot", "seed"), "O(n log n)", lambda n: 0),
     AlgorithmId.BUCKET: AlgorithmSpec(
-        "bucket_sort", True, _UNIT, ("bucket_count", "key"), "O(n)", lambda n: 2 * n),
+        "bucket_sort", True, _UNIT, ("key",), "O(n)", lambda n: 2 * n),
     AlgorithmId.RADIX: AlgorithmSpec(
-        "radix_sort", True, _NAT, ("plan", "key"), "O(n+k)", lambda n: n + RadixPlan().base),
+        "radix_sort", True, _NAT, ("key",), "O(n+k)", lambda n: n + RADIX_BASE),
     AlgorithmId.BUBBLE: AlgorithmSpec("bubble_sort", True, _ANY, (), "O(1)", lambda n: 0),
     AlgorithmId.UHS: AlgorithmSpec("uhs_sort", False, _ANY, (), "O(1)", lambda n: 0),
 }
@@ -105,24 +105,20 @@ class TaggedElement:
         self.key = key
         self.origin = origin
 
-    @staticmethod
-    def _k(other):
-        return other.key if isinstance(other, TaggedElement) else other
-
     def __lt__(self, other):
-        return self.key < self._k(other)
+        return self.key < other.key
 
     def __le__(self, other):
-        return self.key <= self._k(other)
+        return self.key <= other.key
 
     def __gt__(self, other):
-        return self.key > self._k(other)
+        return self.key > other.key
 
     def __ge__(self, other):
-        return self.key >= self._k(other)
+        return self.key >= other.key
 
     def __eq__(self, other):
-        return self.key == self._k(other)
+        return self.key == other.key
 
     def __repr__(self):
         return f"<{self.key}:{self.origin}>"
@@ -158,8 +154,6 @@ def counted_sort(
     *,
     seed: int = 0,
     pivot: PivotRule = PivotRule.RANDOM_SEEDED,
-    bucket_count: int | None = None,
-    radix_plan: RadixPlan | None = None,
     key: Callable | None = None,
 ) -> tuple[list, OpCounters]:
     """Sort ``elements`` in place with ``algorithm`` under a fresh counter set.
@@ -173,7 +167,7 @@ def counted_sort(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if key is not None and "key" not in spec.options:
         raise ValueError(f"{algorithm.value} does not take a key function")
-    given = dict(seed=seed, pivot=pivot, bucket_count=bucket_count, plan=radix_plan, key=key)
+    given = dict(seed=seed, pivot=pivot, key=key)
     counters = OpCounters()
     globals()[spec.sort](elements, order, counters, **{k: given[k] for k in spec.options})
     return elements, counters
@@ -193,29 +187,23 @@ def _stability_breach(arr: Sequence[TaggedElement]) -> bool:
     return False
 
 
-def _run_tagged(
-    algorithm: AlgorithmId, keys: Sequence, seed: int, pivot: PivotRule
-) -> list[TaggedElement]:
+def _run_tagged(algorithm: AlgorithmId, keys: Sequence, seed: int) -> list[TaggedElement]:
     arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
     key = _tagged_key if "key" in SPECS[algorithm].options else None
-    counted_sort(algorithm, arr, seed=seed, pivot=pivot, key=key)
+    counted_sort(algorithm, arr, seed=seed, pivot=PivotRule.LAST_ELEMENT, key=key)
     return arr
 
 
 def stability_check(
-    algorithm: AlgorithmId,
-    trials: int = 10_000,
-    max_n: int = 64,
-    seed: int = 0,
-    pivot: PivotRule = PivotRule.LAST_ELEMENT,
+    algorithm: AlgorithmId, trials: int = 10_000, seed: int = 0
 ) -> StabilityVerdict:
     """Search for a key sequence the algorithm reorders among equal keys.
 
     Phase one exhausts every duplicate-bearing sequence over three key values
     up to length six, so an unstable algorithm yields a minimal witness.
     Phase two hammers a stable one with ``trials`` seeded random
-    duplicate-heavy arrays up to ``max_n`` elements. Any witness found is
-    re-run before being reported.
+    duplicate-heavy arrays of up to 64 elements. Quicksort runs with the
+    last-element pivot. Any witness found is re-run before being reported.
     """
     floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
 
@@ -226,7 +214,7 @@ def stability_check(
                     yield combo, 4
         rng = random.Random(seed)
         for _ in range(trials):
-            size = rng.randint(2, max_n)
+            size = rng.randint(2, 64)
             top = max(1, size // 4)
             yield [rng.randint(0, top) for _ in range(size)], top + 1
 
@@ -234,8 +222,8 @@ def stability_check(
     for raw, span in candidates():
         keys = [r / span for r in raw] if floats else list(raw)
         examined += 1
-        if _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
-            if not _stability_breach(_run_tagged(algorithm, keys, seed, pivot)):
+        if _stability_breach(_run_tagged(algorithm, keys, seed)):
+            if not _stability_breach(_run_tagged(algorithm, keys, seed)):
                 raise RuntimeError(f"witness {keys!r} did not reproduce")
             return StabilityVerdict(algorithm, False, examined, keys)
     return StabilityVerdict(algorithm, True, examined, None)

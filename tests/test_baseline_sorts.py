@@ -9,7 +9,6 @@ from sortlab.baseline_sorts import (
     AlgorithmId,
     KeyDomainError,
     PivotRule,
-    RadixPlan,
     bubble_sort,
     bucket_sort,
     insertion_sort,
@@ -213,14 +212,7 @@ class TestBucket:
         with pytest.raises(KeyDomainError):
             bucket_sort([-0.1])
         with pytest.raises(KeyDomainError):
-            bucket_sort([2], bucket_count=4)
-
-    def test_single_bucket_degenerates_to_insertion(self):
-        rng = random.Random(9)
-        a = [rng.random() for _ in range(50)]
-        got = a[:]
-        bucket_sort(got, bucket_count=1)
-        assert got == sorted(a)
+            bucket_sort([2])
 
     def test_aux_slots_at_most_two_n(self):
         rng = random.Random(1)
@@ -262,37 +254,19 @@ class TestBucket:
         assert got == sorted(xs)
 
 
-class TestRadixPlan:
-    def test_byte_plans(self):
-        assert RadixPlan.for_max_key(0) == RadixPlan(256, 1)
-        assert RadixPlan.for_max_key(255) == RadixPlan(256, 1)
-        assert RadixPlan.for_max_key(256) == RadixPlan(256, 2)
-        assert RadixPlan.for_max_key(65535) == RadixPlan(256, 2)
-        assert RadixPlan.for_max_key(65536) == RadixPlan(256, 3)
-
-    def test_general_base_plans(self):
-        assert RadixPlan.for_max_key(999, base=10) == RadixPlan(10, 3)
-        assert RadixPlan.for_max_key(1000, base=10) == RadixPlan(10, 4)
-        assert RadixPlan(10, 3).key_limit == 1000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RadixPlan(1, 2)
-        with pytest.raises(ValueError):
-            RadixPlan(256, 0)
-        with pytest.raises(KeyDomainError):
-            RadixPlan.for_max_key(-1)
-
-
 class TestRadix:
     def test_moves_are_exactly_digits_times_n(self):
+        # one pass per byte of the largest key, and at least one pass
         rng = random.Random(23)
-        for n, top in ((50, 255), (64, 65535), (40, 2**20)):
-            a = [rng.randrange(top + 1) for _ in range(n)]
-            plan = RadixPlan.for_max_key(max(a))
+        n = 50
+        for top, digits in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 3), (2**20, 3)):
+            a = [rng.randrange(top + 1) for _ in range(n - 1)] + [top]
+            rng.shuffle(a)
+            ref = sorted(a)
             c = OpCounters()
             radix_sort(a, counters=c)
-            assert c.element_moves == plan.digits * n
+            assert a == ref
+            assert c.element_moves == digits * n, top
             assert c.comparisons == 0 and c.swaps == 0
 
     def test_aux_is_n_plus_base(self):
@@ -311,21 +285,12 @@ class TestRadix:
         with pytest.raises(KeyDomainError):
             radix_sort([3, -1])
         with pytest.raises(KeyDomainError):
-            radix_sort([256], plan=RadixPlan(256, 1))
+            radix_sort([-1])
 
     def test_default_plan_covers_max_key(self):
         a = [256, 0, 70000, 3]
         radix_sort(a)
         assert a == [0, 3, 256, 70000]
-
-    def test_non_power_of_two_base(self):
-        rng = random.Random(5)
-        a = [rng.randrange(1000) for _ in range(200)]
-        ref = sorted(a)
-        c = OpCounters()
-        radix_sort(a, counters=c, plan=RadixPlan(10, 3))
-        assert a == ref
-        assert c.element_moves == 3 * 200
 
     def test_key_extractor(self):
         pairs = [(300, "c"), (2, "a"), (40, "b")]

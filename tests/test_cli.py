@@ -99,6 +99,13 @@ class TestSortCommand:
             assert out == ""
             assert "line 3" in err and "NaN" in err
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "inf"])
+    def test_float_infinity_rejected_with_line(self, capsys, monkeypatch, literal):
+        code, out, err = run_cli(capsys, ["sort", "--float"], f"2\n{literal}\n0.5\n", monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, ["sort", "-i", "/nonexistent/path.txt"])
         assert code == 2 and "cannot read" in err
@@ -157,6 +164,16 @@ class TestBenchCommand:
             capsys, ["bench", "--algorithms", "radix", "--distributions", "uniform01"]
         )
         assert code == 2 and "uniform01" in err
+
+    def test_all_distributions_skip_radix_uniform01(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"]
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 7 * 5 - 1
+        assert not [r for r in rows if r.startswith("radix,16,uniform01,")]
+        assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
 
     def test_bad_sizes_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["bench", "--sizes", "banana"])

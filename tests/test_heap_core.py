@@ -172,13 +172,6 @@ class TestBuild:
 
 
 class TestHeapLifecycle:
-    def test_constructor_validates_heap_size(self):
-        with pytest.raises(ValueError):
-            Heap([1, 2, 3], heap_size=4)
-        with pytest.raises(ValueError):
-            Heap([1, 2, 3], heap_size=-1)
-        assert len(Heap([5, 1, 2], heap_size=1)) == 1
-
     def test_peek_and_pop_on_empty_raise(self):
         h = Heap()
         with pytest.raises(EmptyHeapError):

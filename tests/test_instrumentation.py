@@ -120,11 +120,6 @@ class TestTaggedElement:
         assert TaggedElement(1, 0) <= TaggedElement(1, 5)
         assert TaggedElement(3, 0) >= TaggedElement(3, 1)
 
-    def test_compares_against_plain_numbers(self):
-        assert TaggedElement(3, 0) > 2
-        assert TaggedElement(3, 0) == 3
-        assert TaggedElement(0.25, 1) < 0.5
-
     def test_repr_shows_key_and_origin(self):
         assert repr(TaggedElement(7, 2)) == "<7:2>"
 

@@ -2,7 +2,6 @@ import inspect
 
 import sortlab
 import sortlab.heap_core as heap_core
-from sortlab.uhs_sort import uhs_sort
 
 EXPECTED_ALL = {
     "AlgorithmId",
@@ -21,7 +20,6 @@ EXPECTED_ALL = {
     "KeyDomainError",
     "OpCounters",
     "PivotRule",
-    "RadixPlan",
     "STABILITY_EXPECTED",
     "SortOrder",
     "StabilityVerdict",
@@ -54,10 +52,21 @@ EXPECTED_ALL = {
 
 
 def test_public_surface_is_pinned():
-    assert len(sortlab.__all__) == len(set(sortlab.__all__)) == 45
+    assert len(sortlab.__all__) == len(set(sortlab.__all__)) == 44
     assert set(sortlab.__all__) == EXPECTED_ALL
     for name in sortlab.__all__:
         assert getattr(sortlab, name) is not None, name
     # no test-only hook is left in the library
     assert not [name for name in dir(heap_core) if name.startswith("_FAULT")]
-    assert "checkpoint" not in inspect.signature(uhs_sort).parameters
+    # no option that only tests ever set
+    removed = {
+        sortlab.uhs_sort: {"checkpoint"},
+        sortlab.counted_sort: {"bucket_count", "radix_plan"},
+        sortlab.bucket_sort: {"bucket_count"},
+        sortlab.radix_sort: {"plan"},
+        sortlab.stability_check: {"max_n", "pivot"},
+        sortlab.dynamic_scenario: {"check_every"},
+        sortlab.Heap.__init__: {"heap_size"},
+    }
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
