@@ -254,12 +254,20 @@ class TestBucket:
         assert got == sorted(xs)
 
 
+class TestRadixPlan:
+    def test_byte_plans(self):
+        # one pass per byte of the largest key, and at least one pass;
+        # a single key is placed once per pass
+        for top, digits in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 3)):
+            c = OpCounters()
+            radix_sort([top], counters=c)
+            assert c.element_moves == digits, top
+
+
 class TestRadix:
     def test_moves_are_exactly_digits_times_n(self):
-        # one pass per byte of the largest key, and at least one pass
         rng = random.Random(23)
-        n = 50
-        for top, digits in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 3), (2**20, 3)):
+        for n, top, digits in ((50, 255, 1), (64, 65535, 2), (40, 2**20, 3)):
             a = [rng.randrange(top + 1) for _ in range(n - 1)] + [top]
             rng.shuffle(a)
             ref = sorted(a)
