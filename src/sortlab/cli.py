@@ -159,21 +159,29 @@ def _read_values(args) -> list | int:
             return 2
     else:
         text = sys.stdin.read()
-    values = []
-    for ln, raw in enumerate(text.splitlines(), 1):
+    parse = float if args.float else int
+    lines = text.splitlines()
+    try:
+        values = list(map(parse, filter(str.strip, lines)))
+    except ValueError:
+        pass
+    else:
+        if not args.float or all(map(math.isfinite, values)):
+            return values
+    # Some line is bad: parse them again one by one to name the first.
+    for ln, raw in enumerate(lines, 1):
         s = raw.strip()
         if not s:
             continue
         try:
-            value = float(s) if args.float else int(s)
+            value = parse(raw)
         except ValueError:
             print(f"input line {ln}: cannot parse {s!r}", file=sys.stderr)
-            return 2
+            break
         if args.float and not math.isfinite(value):
             print(f"input line {ln}: NaN and infinities cannot be sorted", file=sys.stderr)
-            return 2
-        values.append(value)
-    return values
+            break
+    return 2
 
 
 def _cmd_sort(args) -> int:
@@ -220,7 +228,7 @@ def _cmd_bench(args) -> int:
         return 2
     int_only = [a for a in algorithms if SPECS[a].keys is KeyDomain.NONNEG_INT]
     if int_only and Distribution.UNIFORM01 in distributions:
-        if set(distributions) == {Distribution.UNIFORM01}:
+        if len(int_only) == len(algorithms) and set(distributions) == {Distribution.UNIFORM01}:
             print(f"{int_only[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
             return 2
         names = ",".join(a.value for a in int_only)

@@ -6,11 +6,14 @@ one more extreme element across the boundary until one element remains.
 Ascending output uses a max-at-root heap, descending uses min-at-root, so
 no reversal pass (and no auxiliary storage) is ever needed.
 
-Extraction is Wegener's BOTTOM-UP-HEAPSORT (TCS 118, 1993): the hole left
-at the root walks to a leaf along the dominant child with one comparison
-per level, and the element displaced from the boundary climbs back up from
-there. That measures about n lg n comparisons in all, build included, with
-a worst case of 1.5 n lg n + O(n); the classic two-comparison sift measures
+Both phases sift bottom-up. ``build`` runs ``heap_core``'s bottom-up
+sift-down at each internal node (about 1.65 comparisons per element on
+random input, at most 2(n - 1) in all). The extraction phase is Wegener's
+BOTTOM-UP-HEAPSORT (TCS 118, 1993), drained by one ``_sift_leafward`` call:
+the hole left at the root walks to a leaf along the dominant child with one
+comparison per level, and the element displaced from the boundary climbs
+back up from there. That measures about n lg n comparisons in all, with a
+worst case of 1.5 n lg n + O(n); the classic two-comparison sift measures
 about 1.8 n lg n. The heap code counts element moves, not swaps.
 """
 
@@ -42,7 +45,7 @@ def uhs_sort(
 
     Each extraction moves the root to its final slot (one element move, no
     comparison) and refills the root with the element it displaced, by the
-    leafward sift.
+    leafward sift; one kernel call runs all n - 1 extractions.
     """
     n = len(elements)
     if n <= 1:
@@ -50,12 +53,7 @@ def uhs_sort(
     if counters is None:
         counters = OpCounters()
     heap = build(elements, heap_order_for(order), counters)
-    gt = heap._gt
-    cmp = moves = 0
-    for size in range(n - 1, 0, -1):
-        c, m = _sift_leafward(elements, size, gt)
-        cmp += c
-        moves += m
+    cmp, moves = _sift_leafward(elements, n - 1, 0, heap._mx)
     counters.add(comparisons=cmp, element_moves=moves)
 
 

@@ -89,6 +89,9 @@ class TestSortCommand:
         code, _, err = run_cli(capsys, ["sort"], "5\nxyz\n1\n", monkeypatch)
         assert code == 2
         assert "line 2" in err and "xyz" in err
+        code, _, err = run_cli(capsys, ["sort"], "5\n\n\nxyz\n", monkeypatch)
+        assert code == 2
+        assert "line 4" in err and "xyz" in err
 
     def test_float_nan_rejected_with_line(self, capsys, monkeypatch):
         for algorithm in ("uhs", "merge", "quick", "insertion"):
@@ -164,6 +167,16 @@ class TestBenchCommand:
             capsys, ["bench", "--algorithms", "radix", "--distributions", "uniform01"]
         )
         assert code == 2 and "uniform01" in err
+
+    def test_radix_with_uniform01_still_runs_the_other_algorithms(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"],
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert rows and all(r.startswith("uhs,16,uniform01,") for r in rows)
+        assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
 
     def test_all_distributions_skip_radix_uniform01(self, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import heapq
+import operator
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -78,15 +79,17 @@ class TestSiftDown:
         assert h.elements == [5, 2, 1]
         assert (c.comparisons, c.element_moves) == (2, 2)
 
-    def test_full_descent_costs_two_comparisons_per_level(self):
+    def test_full_descent_costs_one_comparison_per_level_plus_one(self):
         a = [14 - i for i in range(15)]  # perfect max-heap
         a[0] = -1
         h = Heap(a)
         c = OpCounters()
         h.sift_down(0, c)
         assert is_heap(a)
-        # three children move up one level each, then the held -1 lands
-        assert (c.comparisons, c.element_moves) == (6, 4)
+        # one comparison per level down to the leaf and one that stops the
+        # search back up at it; three children move up one level each, then
+        # the held -1 lands
+        assert (c.comparisons, c.element_moves) == (4, 4)
 
     def test_equal_children_left_wins(self):
         a = [TaggedElement(0, 0), TaggedElement(7, 1), TaggedElement(7, 2)]
@@ -116,6 +119,62 @@ class TestSiftDown:
         assert is_heap(a)
 
 
+def _top_down_sift(a, n, hole, gt):
+    """The classic top-down sift, kept as the reference the kernel must match.
+
+    It moves x down past the dominant child (the right one only if it
+    strictly dominates the left) while that child strictly dominates x, and
+    returns its element writes.
+    """
+    x = a[hole]
+    moves = 0
+    child = 2 * hole + 1
+    while child < n:
+        if child + 1 < n and gt(a[child + 1], a[child]):
+            child += 1
+        if not gt(a[child], x):
+            break
+        a[hole] = a[child]
+        moves += 1
+        hole = child
+        child = 2 * child + 1
+    if moves:
+        a[hole] = x
+        moves += 1
+    return moves
+
+
+class TestBottomUpSiftDown:
+    @pytest.mark.parametrize("order", list(HeapOrder))
+    def test_matches_top_down_reference(self, order):
+        gt = operator.gt if order is HeapOrder.MAX_AT_ROOT else operator.lt
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(0, 70)
+            keys = [rng.randint(0, n // 3 + 1) for _ in range(n)]  # many ties
+            tagged = [TaggedElement(k, i) for i, k in enumerate(keys)]
+            ref = tagged[:]
+            ref_moves = sum(_top_down_sift(ref, n, i, gt) for i in range(n // 2 - 1, -1, -1))
+            got = tagged[:]
+            c = OpCounters()
+            build(got, order, c)
+            assert [e.origin for e in got] == [e.origin for e in ref], keys
+            assert c.element_moves == ref_moves, keys
+            if not n:
+                continue
+            # a new key at any node leaves both of its subtrees heaps
+            i = rng.randrange(n)
+            ref[i] = got[i] = TaggedElement(rng.randint(0, n // 3 + 1), n)
+            size = rng.randint(i + 1, n)
+            ref_moves = _top_down_sift(ref, size, i, gt)
+            c = OpCounters()
+            h = Heap(got, order)
+            h.heap_size = size
+            h.sift_down(i, c)
+            assert [e.origin for e in got] == [e.origin for e in ref], (keys, i, size)
+            assert c.element_moves == ref_moves, (keys, i, size)
+
+
 class TestBuild:
     def test_golden_five_element_example(self):
         a = [1, 2, 3, 4, 5]
@@ -124,8 +183,9 @@ class TestBuild:
         assert a == [5, 4, 3, 1, 2]
         assert h.elements is a
         assert len(h) == 5
-        # node 1 sinks one level (2 writes), the root two levels (3 writes)
-        assert (c.comparisons, c.element_moves) == (6, 5)
+        # node 1 sinks one level (2 comparisons, 2 writes), the root two
+        # levels (3 comparisons, 3 writes)
+        assert (c.comparisons, c.element_moves) == (5, 5)
 
     def test_comparison_bound_two_n(self):
         rng = random.Random(11)
@@ -136,6 +196,13 @@ class TestBuild:
             build(a, counters=c)
             assert is_heap(a)
             assert c.comparisons <= 2 * (n - 1), n
+            # input already in heap order, or all equal, costs the most: the
+            # search back up from each leaf climbs the whole path
+            for b in (list(range(n)), list(range(n, 0, -1)), [7] * n):
+                for order in HeapOrder:
+                    c = OpCounters()
+                    build(b[:], order, c)
+                    assert c.comparisons <= 2 * (n - 1), (n, b[:2], order)
 
     def test_min_max_duality(self):
         rng = random.Random(5)
@@ -343,3 +410,21 @@ class TestExceptionSafety:
             h.push(Fuse(10, budget))
         assert len(h) == 5
         assert all(x is y for x, y in zip(h.elements[:5], live))
+
+    def test_failed_sift_down_leaves_heap_unchanged(self):
+        # every comparison comes before the first write, so a comparison that
+        # raises at any point leaves each slot holding the same object
+        rng = random.Random(9)
+        keys = sorted((rng.randint(0, 20) for _ in range(31)), reverse=True)
+        keys[0] = -1  # both subtrees of the root stay heaps
+        raised = 0
+        for spend in range(12):
+            budget = [spend]
+            items = [Fuse(k, budget) for k in keys]
+            a = items[:]
+            try:
+                Heap(a).sift_down(0)
+            except RuntimeError:
+                raised += 1
+                assert all(x is y for x, y in zip(a, items)), spend
+        assert 0 < raised < 12
