@@ -1,9 +1,14 @@
 """The six baseline sorting algorithms measured alongside heapsort.
 
 Every sort mutates its input list, honors ascending/descending order, and
-reports costs through :class:`~sortlab.counting.OpCounters`. Comparator
-direction is handled with :mod:`operator` functions so tagged elements
-(key + payload) travel through unchanged for stability experiments.
+reports costs through :class:`~sortlab.counting.OpCounters`. The comparison
+loops compare inline and work out their comparison counts from loop indices
+instead of counting each step. Insertion and bubble sort, where nearly all
+of a benchmark sweep's time goes, keep one copy of their loop per order;
+merge sort and quicksort branch on the order at each comparison, which
+timed the same as separate copies. Elements are compared only through their
+own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements (key + payload)
+travel through unchanged for stability experiments.
 """
 
 from __future__ import annotations
@@ -42,33 +47,37 @@ class KeyDomainError(ValueError):
 RADIX_BASE = 256  # radix sort's digit base: one byte of the key per pass
 
 
-def _after(order: SortOrder) -> Callable:
-    """Strict 'must come later' comparator for the requested order."""
-    return operator.gt if order is SortOrder.ASCENDING else operator.lt
+def _insertion_loop(a: list, asc: bool) -> tuple[int, int]:
+    """Insertion-sort ``a`` in place; returns (comparisons, element_moves).
 
-
-def _not_after(order: SortOrder) -> Callable:
-    """Non-strict 'may stay first' comparator; ties keep the earlier element."""
-    return operator.le if order is SortOrder.ASCENDING else operator.ge
-
-
-def _insertion_loop(a: list, gt: Callable) -> tuple[int, int]:
-    """Insertion-sort ``a`` in place; returns (comparisons, element_moves)."""
+    Each insertion compares once per element it shifts, plus once more with
+    the element it stops at, unless it ran off the front of the list.
+    """
     cmp = moves = 0
-    for i in range(1, len(a)):
-        x = a[i]
-        j = i - 1
-        while j >= 0:
-            cmp += 1
-            if gt(a[j], x):
+    if asc:
+        for i in range(1, len(a)):
+            x = a[i]
+            j = i - 1
+            while j >= 0 and a[j] > x:
                 a[j + 1] = a[j]
-                moves += 1
                 j -= 1
-            else:
-                break
-        if j + 1 != i:
-            a[j + 1] = x
-            moves += 1
+            shifted = i - 1 - j
+            cmp += shifted + (j >= 0)
+            if shifted:
+                a[j + 1] = x
+                moves += shifted + 1
+    else:
+        for i in range(1, len(a)):
+            x = a[i]
+            j = i - 1
+            while j >= 0 and a[j] < x:
+                a[j + 1] = a[j]
+                j -= 1
+            shifted = i - 1 - j
+            cmp += shifted + (j >= 0)
+            if shifted:
+                a[j + 1] = x
+                moves += shifted + 1
     return cmp, moves
 
 
@@ -78,7 +87,7 @@ def insertion_sort(
     counters: OpCounters | None = None,
 ) -> None:
     """Stable in-place insertion sort. Best case n-1 comparisons, worst n(n-1)/2."""
-    cmp, moves = _insertion_loop(elements, _after(order))
+    cmp, moves = _insertion_loop(elements, order is SortOrder.ASCENDING)
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
 
@@ -88,20 +97,40 @@ def bubble_sort(
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
 ) -> None:
-    """Stable in-place bubble sort with early exit on a swap-free pass."""
+    """Stable in-place bubble sort with early exit on a swap-free pass.
+
+    Each pass carries the element it is bubbling in a local: that element
+    is compared with its right neighbour and, if it must come later, the
+    two swap places; otherwise the neighbour becomes the carried element.
+    A pass over ``end + 1`` slots makes exactly ``end`` comparisons.
+    """
     a = elements
-    gt = _after(order)
+    asc = order is SortOrder.ASCENDING
     cmp = swaps = 0
     end = len(a) - 1
     while end > 0:
-        swapped = False
-        for j in range(end):
-            cmp += 1
-            if gt(a[j], a[j + 1]):
-                a[j], a[j + 1] = a[j + 1], a[j]
-                swaps += 1
-                swapped = True
-        if not swapped:
+        before = swaps
+        x = a[0]
+        if asc:
+            for j in range(1, end + 1):
+                y = a[j]
+                if x > y:
+                    a[j - 1] = y
+                    a[j] = x
+                    swaps += 1
+                else:
+                    x = y
+        else:
+            for j in range(1, end + 1):
+                y = a[j]
+                if x < y:
+                    a[j - 1] = y
+                    a[j] = x
+                    swaps += 1
+                else:
+                    x = y
+        cmp += end
+        if swaps == before:
             break
         end -= 1
     if counters is not None:
@@ -122,7 +151,7 @@ def merge_sort(
         return
     if counters is None:
         counters = OpCounters()
-    le = _not_after(order)
+    asc = order is SortOrder.ASCENDING
     a = elements
     cmp = moves = peak = 0
 
@@ -140,28 +169,35 @@ def merge_sort(
             rec(mid, hi, depth + 1)
             width = mid - lo
             buf[0:width] = a[lo:mid]
-            moves += width
+            # one comparison per element placed until either run runs out;
+            # ties take the left run's element, which keeps the sort stable
             i = 0
             j = mid
             k = lo
-            while i < width and j < hi:
-                cmp += 1
-                x = buf[i]
-                y = a[j]
-                if le(x, y):
+            x = buf[0]
+            y = a[mid]
+            while True:
+                if (x <= y) if asc else (x >= y):
                     a[k] = x
+                    k += 1
                     i += 1
+                    if i == width:
+                        break
+                    x = buf[i]
                 else:
                     a[k] = y
+                    k += 1
                     j += 1
-                k += 1
-                moves += 1
-            while i < width:
-                a[k] = buf[i]
-                i += 1
-                k += 1
-                moves += 1
-            # any right-run leftovers are already in place
+                    if j == hi:
+                        break
+                    y = a[j]
+            cmp += k - lo
+            if i < width:
+                a[k:hi] = buf[i:width]
+                k = hi
+            # width moves into buf, then one write into each slot from lo to
+            # k; any right-run leftovers past k are already in place
+            moves += width + k - lo
 
         rec(0, n, 1)
 
@@ -206,8 +242,8 @@ def quicksort(
     if counters is None:
         counters = OpCounters()
     a = elements
-    le = _not_after(order)
-    gt = _after(order)
+    asc = order is SortOrder.ASCENDING
+    gt = operator.gt if asc else operator.lt
     rng = random.Random(seed) if pivot is PivotRule.RANDOM_SEEDED else None
     cmp = swaps = peak = 0
 
@@ -230,12 +266,14 @@ def quicksort(
             p = a[hi]
             i = lo
             for j in range(lo, hi):
-                cmp += 1
-                if le(a[j], p):
+                x = a[j]
+                if (x <= p) if asc else (x >= p):
                     if i != j:
-                        a[i], a[j] = a[j], a[i]
+                        a[j] = a[i]
+                        a[i] = x
                         swaps += 1
                     i += 1
+            cmp += hi - lo
             if i != hi:
                 a[i], a[hi] = a[hi], a[i]
                 swaps += 1
@@ -275,7 +313,7 @@ def bucket_sort(
         v = get(x)
         if not 0 <= v < 1:
             raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
-    gt = _after(order)
+    asc = order is SortOrder.ASCENDING
     cmp = moves = 0
 
     with counters.scratch(2 * n):
@@ -285,10 +323,10 @@ def bucket_sort(
             idx = int(get(x) * n)
             buckets[idx if idx < top else top].append(x)
             moves += 1
-        ordered = buckets if order is SortOrder.ASCENDING else reversed(buckets)
+        ordered = buckets if asc else reversed(buckets)
         k = 0
         for bucket in ordered:
-            c, m = _insertion_loop(bucket, gt)
+            c, m = _insertion_loop(bucket, asc)
             cmp += c
             moves += m
             for x in bucket:

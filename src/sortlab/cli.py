@@ -205,7 +205,7 @@ def _cmd_sort(args) -> int:
     except KeyDomainError as e:
         print(str(e), file=sys.stderr)
         return 2
-    out = "".join(f"{v}\n" for v in values)
+    out = "\n".join(map(str, values)) + "\n" if values else ""
     if args.output:
         try:
             Path(args.output).write_text(out)

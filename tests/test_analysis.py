@@ -1,3 +1,5 @@
+import hashlib
+import io
 import math
 import random
 
@@ -25,7 +27,8 @@ from sortlab.analysis import (
     time_table,
     write_csv,
 )
-from sortlab.baseline_sorts import AlgorithmId
+from sortlab.baseline_sorts import AlgorithmId, PivotRule
+from sortlab.uhs_sort import SortOrder
 
 
 class TestGrowthFit:
@@ -137,6 +140,30 @@ class TestRunSweep:
         # radix makes no comparisons and exactly digits*n moves
         fields = lines[1].split(",")
         assert fields[4] == "0" and int(fields[6]) % 64 == 0
+
+    # SHA-256 of `bench --algorithms all --sizes 2^4..2^9 --distributions all
+    # --trials 2 --seed 3 --order O --pivot P | cut -d, -f1-9`: every count
+    # of every cell, with the wall-clock column dropped
+    @pytest.mark.parametrize("order,pivot,digest", [
+        (SortOrder.ASCENDING, PivotRule.RANDOM_SEEDED,
+         "217c24582caaaf62991e8d5c1b1ceded8ca83f969ff79b0cb644820c452b9c76"),
+        (SortOrder.DESCENDING, PivotRule.MEDIAN_OF_THREE,
+         "b4ab45dc0d46332f62141e2caa9663e3fdfed5c54ded8ffaa1e36b8407ff8b74"),
+        (SortOrder.ASCENDING, PivotRule.LAST_ELEMENT,
+         "f116bb6cfa13c7a43d31a73c3137ab66a2bd75877b1ebab4440c9bbcdf2bbaba"),
+    ], ids=["asc-random", "desc-median3", "asc-last"])
+    def test_golden_counts(self, order, pivot, digest):
+        recs = run_sweep(
+            list(AlgorithmId), [2**e for e in range(4, 10)], list(Distribution),
+            trials=2, seed=3, order=order, pivot=pivot,
+        )
+        out = io.StringIO()
+        write_csv(recs, out)
+        counts = "".join(
+            ",".join(line.split(",")[:9]) + "\n" for line in out.getvalue().splitlines()
+        )
+        assert hashlib.sha256(counts.encode()).hexdigest() == digest
+
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from sortlab.baseline_sorts import (
     radix_sort,
 )
 from sortlab.counting import OpCounters
+from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import SortOrder
 
 
@@ -325,3 +327,183 @@ def test_trivial_sizes_cost_nothing(sort):
         c = OpCounters()
         sort(a, counters=c)
         assert c.as_dict() == OpCounters().as_dict()
+
+
+# Reference loops: the operator-based kernels the inline-comparison ones
+# replaced, kept to check that every comparison, write and count is the same.
+
+
+def _ref_insertion(a, order, counters):
+    gt = operator.gt if order is SortOrder.ASCENDING else operator.lt
+    cmp = moves = 0
+    for i in range(1, len(a)):
+        x = a[i]
+        j = i - 1
+        while j >= 0:
+            cmp += 1
+            if gt(a[j], x):
+                a[j + 1] = a[j]
+                moves += 1
+                j -= 1
+            else:
+                break
+        if j + 1 != i:
+            a[j + 1] = x
+            moves += 1
+    counters.add(comparisons=cmp, element_moves=moves)
+
+
+def _ref_bubble(a, order, counters):
+    gt = operator.gt if order is SortOrder.ASCENDING else operator.lt
+    cmp = swaps = 0
+    end = len(a) - 1
+    while end > 0:
+        swapped = False
+        for j in range(end):
+            cmp += 1
+            if gt(a[j], a[j + 1]):
+                a[j], a[j + 1] = a[j + 1], a[j]
+                swaps += 1
+                swapped = True
+        if not swapped:
+            break
+        end -= 1
+    counters.add(comparisons=cmp, swaps=swaps)
+
+
+def _ref_merge(a, order, counters):
+    n = len(a)
+    if n <= 1:
+        return
+    le = operator.le if order is SortOrder.ASCENDING else operator.ge
+    cmp = moves = peak = 0
+    with counters.scratch(n):
+        buf = [None] * n
+
+        def rec(lo, hi, depth):
+            nonlocal cmp, moves, peak
+            peak = max(peak, depth)
+            if hi - lo <= 1:
+                return
+            mid = (lo + hi) // 2
+            rec(lo, mid, depth + 1)
+            rec(mid, hi, depth + 1)
+            width = mid - lo
+            buf[0:width] = a[lo:mid]
+            moves += width
+            i, j, k = 0, mid, lo
+            while i < width and j < hi:
+                cmp += 1
+                x = buf[i]
+                y = a[j]
+                if le(x, y):
+                    a[k] = x
+                    i += 1
+                else:
+                    a[k] = y
+                    j += 1
+                k += 1
+                moves += 1
+            while i < width:
+                a[k] = buf[i]
+                i += 1
+                k += 1
+                moves += 1
+
+        rec(0, n, 1)
+    counters.add(comparisons=cmp, element_moves=moves)
+    counters.note_recursion(peak)
+
+
+def _ref_median3(a, lo, mid, hi, gt):
+    x, y, z = a[lo], a[mid], a[hi]
+    cmp = 1
+    if gt(x, y):
+        cmp += 1
+        if gt(y, z):
+            return mid, cmp
+        cmp += 1
+        return (hi, cmp) if gt(x, z) else (lo, cmp)
+    cmp += 1
+    if gt(x, z):
+        return lo, cmp
+    cmp += 1
+    return (hi, cmp) if gt(y, z) else (mid, cmp)
+
+
+def _ref_quick(a, order, counters, pivot, seed):
+    if len(a) <= 1:
+        return
+    asc = order is SortOrder.ASCENDING
+    le = operator.le if asc else operator.ge
+    gt = operator.gt if asc else operator.lt
+    rng = random.Random(seed) if pivot is PivotRule.RANDOM_SEEDED else None
+    cmp = swaps = peak = 0
+
+    def rec(lo, hi, depth):
+        nonlocal cmp, swaps, peak
+        peak = max(peak, depth)
+        while lo < hi:
+            if rng is not None:
+                k = rng.randint(lo, hi)
+                if k != hi:
+                    a[k], a[hi] = a[hi], a[k]
+                    swaps += 1
+            elif pivot is PivotRule.MEDIAN_OF_THREE and hi - lo >= 2:
+                m, c = _ref_median3(a, lo, (lo + hi) // 2, hi, gt)
+                cmp += c
+                if m != hi:
+                    a[m], a[hi] = a[hi], a[m]
+                    swaps += 1
+            p = a[hi]
+            i = lo
+            for j in range(lo, hi):
+                cmp += 1
+                if le(a[j], p):
+                    if i != j:
+                        a[i], a[j] = a[j], a[i]
+                        swaps += 1
+                    i += 1
+            if i != hi:
+                a[i], a[hi] = a[hi], a[i]
+                swaps += 1
+            if i - lo < hi - i:
+                if i - lo > 0:
+                    rec(lo, i - 1, depth + 1)
+                lo = i + 1
+            else:
+                if hi - i > 0:
+                    rec(i + 1, hi, depth + 1)
+                hi = i - 1
+
+    rec(0, len(a) - 1, 1)
+    counters.add(comparisons=cmp, swaps=swaps)
+    counters.note_recursion(peak)
+
+
+@pytest.mark.parametrize("order", list(SortOrder))
+def test_kernels_match_operator_reference(order):
+    pairs = [(insertion_sort, _ref_insertion), (bubble_sort, _ref_bubble),
+             (merge_sort, _ref_merge)]
+    for pivot in PivotRule:
+        pairs.append((
+            lambda a, o, c, p=pivot: quicksort(a, o, c, pivot=p, seed=len(a)),
+            lambda a, o, c, p=pivot: _ref_quick(a, o, c, p, seed=len(a)),
+        ))
+    rng = random.Random(31)
+    for _ in range(320):
+        n = rng.randint(0, 60)
+        keys = [rng.randint(0, n // 3 + 1) for _ in range(n)]  # many ties
+        shape = rng.random()
+        if shape < 0.2:
+            keys.sort()
+        elif shape < 0.4:
+            keys.sort(reverse=True)
+        tagged = [TaggedElement(k, i) for i, k in enumerate(keys)]
+        for sort, ref in pairs:
+            want, got = tagged[:], tagged[:]
+            cw, cg = OpCounters(), OpCounters()
+            ref(want, order, cw)
+            sort(got, order, cg)
+            assert [e.origin for e in got] == [e.origin for e in want], (sort, keys)
+            assert cg.as_dict() == cw.as_dict(), (sort, keys)

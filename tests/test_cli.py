@@ -117,9 +117,19 @@ class TestSortCommand:
         code, _, _ = run_cli(capsys, ["sort", "-a", "nosuch"])
         assert code == 2
 
-    def test_empty_input_is_fine(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, ["sort"], "", monkeypatch)
-        assert code == 0 and out == ""
+    def test_empty_input_is_fine(self, capsys, monkeypatch, tmp_path):
+        for text in ("", "\n  \n"):
+            code, out, _ = run_cli(capsys, ["sort"], text, monkeypatch)
+            assert code == 0 and out == ""
+        dst = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, ["sort", "-o", str(dst)], "", monkeypatch)
+        assert code == 0 and out == "" and dst.read_bytes() == b""
+
+    def test_float_output_bytes(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys, ["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n", monkeypatch
+        )
+        assert code == 0 and out == "-2.5\n1e-07\n0.1\n3.0\n1e+16\n"
 
 
 class TestBenchCommand:
