@@ -54,7 +54,7 @@ from .instrumentation import (
     counted_sort,
     stability_check,
 )
-from .uhs_sort import SortOrder, heap_order_for, sorted_region_invariant, uhs_sort
+from .uhs_sort import SortOrder, heap_order_for, uhs_sort
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "radix_sort",
     "reproduce_tables",
     "run_sweep",
-    "sorted_region_invariant",
     "space_table",
     "stability_check",
     "stability_table",

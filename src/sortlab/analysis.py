@@ -464,8 +464,6 @@ class DynamicReport:
     steps: int
     heap_counters: OpCounters
     oracle_shifts: int
-    heap_curve: list[int]
-    oracle_curve: list[int]
 
     @property
     def ok(self) -> bool:
@@ -503,15 +501,12 @@ def dynamic_scenario(ops: Sequence[tuple]) -> DynamicReport:
     1,000th op the whole heap is checked; any divergence raises
     DifferentialError with the failing prefix. The oracle pays
     element shifts for keeping a flat sorted list; the heap pays comparisons,
-    counting each equality probe of the scan that finds a removal target --
-    the report's curves track both cumulative costs.
+    counting each equality probe of the scan that finds a removal target.
     """
     heap = Heap(order=HeapOrder.MAX_AT_ROOT)
     counters = OpCounters()
     oracle: list = []
     shifts = 0
-    heap_curve: list[int] = []
-    oracle_curve: list[int] = []
 
     for step, op in enumerate(ops):
         def fail(message: str):
@@ -549,15 +544,7 @@ def dynamic_scenario(ops: Sequence[tuple]) -> DynamicReport:
             raise fail(f"max diverged: heap {heap.peek()}, oracle {oracle[-1]}")
         if step % 1000 == 0 and not is_heap(heap.elements, heap.heap_size):
             raise fail("heap property violated")
-        heap_curve.append(counters.comparisons)
-        oracle_curve.append(shifts)
 
     if sorted(heap.elements[: heap.heap_size]) != oracle:
         raise DifferentialError(len(ops), list(ops), "final contents diverged")
-    return DynamicReport(
-        steps=len(ops),
-        heap_counters=counters,
-        oracle_shifts=shifts,
-        heap_curve=heap_curve,
-        oracle_curve=oracle_curve,
-    )
+    return DynamicReport(steps=len(ops), heap_counters=counters, oracle_shifts=shifts)

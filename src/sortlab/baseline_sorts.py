@@ -51,33 +51,43 @@ def _insertion_loop(a: list, asc: bool) -> tuple[int, int]:
     """Insertion-sort ``a`` in place; returns (comparisons, element_moves).
 
     Each insertion compares once per element it shifts, plus once more with
-    the element it stops at, unless it ran off the front of the list.
+    the element it stops at, unless it ran off the front of the list. If a
+    comparison raises, ``x`` goes back into the hole at ``j + 1`` first, so
+    ``a`` stays a permutation of its input.
     """
     cmp = moves = 0
     if asc:
-        for i in range(1, len(a)):
-            x = a[i]
-            j = i - 1
-            while j >= 0 and a[j] > x:
-                a[j + 1] = a[j]
-                j -= 1
-            shifted = i - 1 - j
-            cmp += shifted + (j >= 0)
-            if shifted:
-                a[j + 1] = x
-                moves += shifted + 1
+        try:
+            for i in range(1, len(a)):
+                x = a[i]
+                j = i - 1
+                while j >= 0 and a[j] > x:
+                    a[j + 1] = a[j]
+                    j -= 1
+                shifted = i - 1 - j
+                cmp += shifted + (j >= 0)
+                if shifted:
+                    a[j + 1] = x
+                    moves += shifted + 1
+        except BaseException:
+            a[j + 1] = x
+            raise
     else:
-        for i in range(1, len(a)):
-            x = a[i]
-            j = i - 1
-            while j >= 0 and a[j] < x:
-                a[j + 1] = a[j]
-                j -= 1
-            shifted = i - 1 - j
-            cmp += shifted + (j >= 0)
-            if shifted:
-                a[j + 1] = x
-                moves += shifted + 1
+        try:
+            for i in range(1, len(a)):
+                x = a[i]
+                j = i - 1
+                while j >= 0 and a[j] < x:
+                    a[j + 1] = a[j]
+                    j -= 1
+                shifted = i - 1 - j
+                cmp += shifted + (j >= 0)
+                if shifted:
+                    a[j + 1] = x
+                    moves += shifted + 1
+        except BaseException:
+            a[j + 1] = x
+            raise
     return cmp, moves
 
 
@@ -176,21 +186,27 @@ def merge_sort(
             k = lo
             x = buf[0]
             y = a[mid]
-            while True:
-                if (x <= y) if asc else (x >= y):
-                    a[k] = x
-                    k += 1
-                    i += 1
-                    if i == width:
-                        break
-                    x = buf[i]
-                else:
-                    a[k] = y
-                    k += 1
-                    j += 1
-                    if j == hi:
-                        break
-                    y = a[j]
+            try:
+                while True:
+                    if (x <= y) if asc else (x >= y):
+                        a[k] = x
+                        k += 1
+                        i += 1
+                        if i == width:
+                            break
+                        x = buf[i]
+                    else:
+                        a[k] = y
+                        k += 1
+                        j += 1
+                        if j == hi:
+                            break
+                        y = a[j]
+            except BaseException:
+                # the slots from k to j are stale; the left run's unplaced
+                # tail (j - k == width - i of them) belongs there
+                a[k:k + width - i] = buf[i:width]
+                raise
             cmp += k - lo
             if i < width:
                 a[k:hi] = buf[i:width]

@@ -1,10 +1,13 @@
-"""Measurement harness: algorithm specs, counted dispatch, stability probing.
+"""Measurement harness: algorithm specs, counted dispatch, the sort oracle.
 
 `SPECS` is the one table of what each algorithm claims. `counted_sort` is the
 single entry point the benchmarks and the CLI use to run any algorithm with a
-fresh operation ledger. `stability_check` hunts for the smallest reordering
-witness an algorithm admits, and `build_cost_audit` confirms the linear bound
-on bottom-up heap construction.
+fresh operation ledger. `sort_fault` is the one payload-exact oracle: it sorts
+key/origin pairs and names how the result differs from Python's stable
+``sorted``. `stability_check` drives it to hunt for the smallest reordering
+witness an algorithm admits, and `verify`'s differential check drives it in
+both orders. `build_cost_audit` confirms the linear bound on bottom-up heap
+construction.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Sequence
 
 # The sort functions are module attributes that `counted_sort` reaches by name.
@@ -41,6 +45,7 @@ __all__ = [
     "BuildCostRow",
     "STABILITY_EXPECTED",
     "counted_sort",
+    "sort_fault",
     "stability_check",
     "build_cost_audit",
 ]
@@ -173,25 +178,29 @@ def counted_sort(
     return elements, counters
 
 
-def _tagged_key(t: TaggedElement):
-    return t.key
+_tagged_key = attrgetter("key")
 
 
-def _stability_breach(arr: Sequence[TaggedElement]) -> bool:
-    for i in range(1, len(arr)):
-        prev, cur = arr[i - 1], arr[i]
-        if prev.key > cur.key:
-            raise RuntimeError(f"output not sorted at {i}: {arr!r}")
-        if prev.key == cur.key and prev.origin > cur.origin:
-            return True
-    return False
+def sort_fault(
+    algorithm: AlgorithmId, keys: Sequence, order: SortOrder, seed: int, pivot: PivotRule
+) -> str | None:
+    """Sort tagged copies of ``keys`` and hold them against Python's stable sort.
 
-
-def _run_tagged(algorithm: AlgorithmId, keys: Sequence, seed: int) -> list[TaggedElement]:
+    Returns None when every element lands exactly where ``sorted`` puts it,
+    "unstable" when the output is a permutation of the input with the right
+    keys in the right order but some equal keys changed places, and
+    "missorted" for anything else.
+    """
     arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
+    want = sorted(arr, key=_tagged_key, reverse=order is SortOrder.DESCENDING)
     key = _tagged_key if "key" in SPECS[algorithm].options else None
-    counted_sort(algorithm, arr, seed=seed, pivot=PivotRule.LAST_ELEMENT, key=key)
-    return arr
+    counted_sort(algorithm, arr, order, seed=seed, pivot=pivot, key=key)
+    if len(arr) == len(want) and all(map(is_, arr, want)):
+        return None
+    same_keys = [t.key for t in arr] == [t.key for t in want]
+    if same_keys and sorted(t.origin for t in arr) == list(range(len(want))):
+        return "unstable"
+    return "missorted"
 
 
 def stability_check(
@@ -222,8 +231,12 @@ def stability_check(
     for raw, span in candidates():
         keys = [r / span for r in raw] if floats else list(raw)
         examined += 1
-        if _stability_breach(_run_tagged(algorithm, keys, seed)):
-            if not _stability_breach(_run_tagged(algorithm, keys, seed)):
+        fault = sort_fault(algorithm, keys, SortOrder.ASCENDING, seed, PivotRule.LAST_ELEMENT)
+        if fault == "missorted":
+            raise RuntimeError(f"{algorithm.value} missorted {keys!r}")
+        if fault:
+            again = sort_fault(algorithm, keys, SortOrder.ASCENDING, seed, PivotRule.LAST_ELEMENT)
+            if again != fault:
                 raise RuntimeError(f"witness {keys!r} did not reproduce")
             return StabilityVerdict(algorithm, False, examined, keys)
     return StabilityVerdict(algorithm, True, examined, None)

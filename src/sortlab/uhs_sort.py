@@ -19,11 +19,10 @@ about 1.8 n lg n. The heap code counts element moves, not swaps.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 
 from .counting import OpCounters
-from .heap_core import HeapOrder, _sift_leafward, build, is_heap
+from .heap_core import HeapOrder, _sift_leafward, build
 
 
 class SortOrder(Enum):
@@ -55,27 +54,3 @@ def uhs_sort(
     heap = build(elements, heap_order_for(order), counters)
     cmp, moves = _sift_leafward(elements, n - 1, 0, heap._mx)
     counters.add(comparisons=cmp, element_moves=moves)
-
-
-def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrder.ASCENDING) -> bool:
-    """Mid-sort loop invariant: heap prefix, sorted suffix, suffix dominates prefix.
-
-    True iff ``elements[0:heap_size]`` is a valid heap for ``order``,
-    ``elements[heap_size:]`` is sorted per ``order``, and every suffix element
-    dominates every prefix element (>= for ascending, <= for descending).
-    """
-    n = len(elements)
-    if heap_size > n:
-        raise ValueError(f"heap_size {heap_size} exceeds length {n}")
-    if not is_heap(elements, heap_size, heap_order_for(order)):
-        return False
-    suffix_ok = operator.le if order is SortOrder.ASCENDING else operator.ge
-    for i in range(heap_size, n - 1):
-        if not suffix_ok(elements[i], elements[i + 1]):
-            return False
-    if 0 < heap_size < n:
-        prefix = elements[:heap_size]
-        boundary = max(prefix) if order is SortOrder.ASCENDING else min(prefix)
-        if not suffix_ok(boundary, elements[heap_size]):
-            return False
-    return True

@@ -3,6 +3,7 @@ import io
 import pytest
 
 import sortlab.heap_core as heap_core
+import sortlab.instrumentation as instrumentation
 from sortlab.cli import main, parse_sizes
 
 
@@ -270,6 +271,15 @@ class TestVerifyCommand:
         assert "construction broke the heap property" in out
         code, out, _ = run_cli(capsys, ["verify", "--only", "heap-invariants"])
         assert code == 0 and "PASS" in out
+
+    def test_unstable_stand_in_for_a_stable_sort_fails_differential(self, capsys, monkeypatch):
+        # uhs returns every key in order but reorders equal ones, so only a
+        # payload-exact check can tell it from merge sort
+        monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
+        code, out, _ = run_cli(capsys, ["verify", "--only", "differential"])
+        assert code == 1
+        assert "differential: FAIL" in out
+        assert any(": merge " in line and "unstable" in line for line in out.splitlines())
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--only", "nosuch"])

@@ -17,8 +17,9 @@ from sortlab.heap_core import (
     build,
     is_heap,
 )
+from sortlab.baseline_sorts import bubble_sort, insertion_sort, merge_sort, quicksort
 from sortlab.instrumentation import TaggedElement
-from sortlab.uhs_sort import uhs_sort
+from sortlab.uhs_sort import SortOrder, uhs_sort
 
 
 def _ancestor_oracle(a, order):
@@ -370,6 +371,14 @@ class Fuse:
         self._spend()
         return self.key < other.key
 
+    def __ge__(self, other):
+        self._spend()
+        return self.key >= other.key
+
+    def __le__(self, other):
+        self._spend()
+        return self.key <= other.key
+
 
 class TestExceptionSafety:
     @pytest.mark.parametrize("run", [
@@ -391,6 +400,23 @@ class TestExceptionSafety:
             a = items[:]
             try:
                 run(a)
+            except RuntimeError:
+                raised += 1
+            assert Counter(a) == Counter(items), spend
+        assert raised > 0
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    @pytest.mark.parametrize("sort", [insertion_sort, bubble_sort, merge_sort, quicksort],
+                             ids=["insertion", "bubble", "merge", "quick"])
+    def test_raising_comparison_leaves_baseline_sorts_a_permutation(self, sort, order):
+        rng = random.Random(12)
+        raised = 0
+        for spend in range(200):
+            budget = [spend]
+            items = [Fuse(rng.randint(0, 9), budget) for _ in range(24)]
+            a = items[:]
+            try:
+                sort(a, order)
             except RuntimeError:
                 raised += 1
             assert Counter(a) == Counter(items), spend

@@ -16,6 +16,7 @@ from sortlab.instrumentation import (
     TaggedElement,
     build_cost_audit,
     counted_sort,
+    sort_fault,
     stability_check,
 )
 from sortlab.uhs_sort import SortOrder
@@ -194,6 +195,43 @@ class TestStabilityCheck:
 
     def test_expected_table_covers_every_algorithm(self):
         assert set(STABILITY_EXPECTED) == set(AlgorithmId)
+
+
+class TestSortFault:
+    @pytest.mark.parametrize("order", list(SortOrder))
+    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
+    def test_exact_match_is_no_fault(self, algorithm, order):
+        keys = [0.5, 0.25, 0.5, 0.75, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1, 2, 3, 1]
+        if not SPECS[algorithm].stable:
+            keys = sorted(set(keys))[::-1]  # distinct keys leave nothing to reorder
+        assert sort_fault(algorithm, keys, order, 0, PivotRule.LAST_ELEMENT) is None
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_reordered_equal_keys_are_unstable(self, order):
+        # uhs moves the root past the last element, swapping two equal keys
+        assert sort_fault(AlgorithmId.UHS, [1, 1], order, 0, PivotRule.LAST_ELEMENT) == "unstable"
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_lost_element_is_missorted(self, order, monkeypatch):
+        # every key right and in order, but one element written over another
+        real = instrumentation.merge_sort
+
+        def duplicating(elements, order, counters, **kw):
+            real(elements, order, counters, **kw)
+            elements[1] = elements[0]
+
+        monkeypatch.setattr(instrumentation, "merge_sort", duplicating)
+        fault = sort_fault(AlgorithmId.MERGE, [3, 3, 3], order, 0, PivotRule.LAST_ELEMENT)
+        assert fault == "missorted"
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_wrong_key_order_is_missorted(self, order, monkeypatch):
+        def backwards(elements, order, counters, **kw):
+            elements.sort(reverse=order is SortOrder.ASCENDING)
+
+        monkeypatch.setattr(instrumentation, "merge_sort", backwards)
+        fault = sort_fault(AlgorithmId.MERGE, [2, 0, 1], order, 0, PivotRule.LAST_ELEMENT)
+        assert fault == "missorted"
 
 
 class TestBuildCostAudit:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -6,14 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortlab.counting import OpCounters
-from sortlab.heap_core import HeapOrder, build
+from sortlab.heap_core import HeapOrder, build, is_heap
 from sortlab.instrumentation import TaggedElement
-from sortlab.uhs_sort import (
-    SortOrder,
-    heap_order_for,
-    sorted_region_invariant,
-    uhs_sort,
-)
+from sortlab.uhs_sort import SortOrder, heap_order_for, uhs_sort
+
+
+def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrder.ASCENDING) -> bool:
+    """Mid-sort loop invariant: heap prefix, sorted suffix, suffix dominates prefix.
+
+    True iff ``elements[0:heap_size]`` is a valid heap for ``order``,
+    ``elements[heap_size:]`` is sorted per ``order``, and every suffix element
+    dominates every prefix element (>= for ascending, <= for descending).
+    """
+    n = len(elements)
+    if heap_size > n:
+        raise ValueError(f"heap_size {heap_size} exceeds length {n}")
+    if not is_heap(elements, heap_size, heap_order_for(order)):
+        return False
+    suffix_ok = operator.le if order is SortOrder.ASCENDING else operator.ge
+    for i in range(heap_size, n - 1):
+        if not suffix_ok(elements[i], elements[i + 1]):
+            return False
+    if 0 < heap_size < n:
+        prefix = elements[:heap_size]
+        boundary = max(prefix) if order is SortOrder.ASCENDING else min(prefix)
+        if not suffix_ok(boundary, elements[heap_size]):
+            return False
+    return True
 
 
 def test_heap_order_mapping():
