@@ -46,7 +46,6 @@ from .heap_core import (
     is_heap,
 )
 from .instrumentation import (
-    STABILITY_EXPECTED,
     BuildCostRow,
     StabilityVerdict,
     TaggedElement,
@@ -75,7 +74,6 @@ __all__ = [
     "KeyDomainError",
     "OpCounters",
     "PivotRule",
-    "STABILITY_EXPECTED",
     "SortOrder",
     "StabilityVerdict",
     "TableReport",

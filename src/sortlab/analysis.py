@@ -29,10 +29,7 @@ from .instrumentation import (
 )
 from .uhs_sort import SortOrder
 
-CSV_HEADER = (
-    "algorithm,n,distribution,trial,comparisons,swaps,"
-    "element_moves,aux_peak_slots,recursion_peak,wall_nanos"
-)
+CSV_HEADER = f"algorithm,n,distribution,trial,{','.join(OpCounters().as_dict())},wall_nanos"
 
 # Size ladders: linear/linearithmic rows can afford large n, quadratic rows
 # are capped where n^2 operation counts stay affordable in pure Python.
@@ -153,18 +150,14 @@ class BenchRecord:
     n: int
     distribution: Distribution
     trial: int
-    comparisons: int
-    swaps: int
-    element_moves: int
-    aux_peak_slots: int
-    recursion_peak: int
+    counters: OpCounters
     wall_nanos: int
 
     def csv_row(self) -> str:
+        counts = ",".join(map(str, self.counters.as_dict().values()))
         return (
             f"{self.algorithm.value},{self.n},{self.distribution.value},"
-            f"{self.trial},{self.comparisons},{self.swaps},{self.element_moves},"
-            f"{self.aux_peak_slots},{self.recursion_peak},{self.wall_nanos}"
+            f"{self.trial},{counts},{self.wall_nanos}"
         )
 
 
@@ -205,20 +198,7 @@ def run_sweep(
                     t0 = time.perf_counter_ns()
                     _, c = counted_sort(algorithm, arr, order, seed=sub, pivot=pivot)
                     wall = time.perf_counter_ns() - t0
-                    records.append(
-                        BenchRecord(
-                            algorithm,
-                            n,
-                            dist,
-                            trial,
-                            c.comparisons,
-                            c.swaps,
-                            c.element_moves,
-                            c.aux_peak_slots,
-                            c.recursion_peak,
-                            wall,
-                        )
-                    )
+                    records.append(BenchRecord(algorithm, n, dist, trial, c, wall))
     return records
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 import random
 from enum import Enum
+from itertools import chain
 from typing import Callable
 
 from .counting import OpCounters
@@ -154,71 +155,67 @@ def merge_sort(
 ) -> None:
     """Stable top-down merge sort using one reusable scratch buffer of n slots.
 
-    The scratch allocation is metered once, so the auxiliary peak is exactly n.
+    The buffer is the only scratch allocation, so the auxiliary peak is exactly n.
     """
     n = len(elements)
     if n <= 1:
         return
-    if counters is None:
-        counters = OpCounters()
     asc = order is SortOrder.ASCENDING
     a = elements
     cmp = moves = peak = 0
+    buf = [None] * n
 
-    with counters.scratch(n):
-        buf = [None] * n
+    def rec(lo: int, hi: int, depth: int) -> None:
+        nonlocal cmp, moves, peak
+        if depth > peak:
+            peak = depth
+        if hi - lo <= 1:
+            return
+        mid = (lo + hi) // 2
+        rec(lo, mid, depth + 1)
+        rec(mid, hi, depth + 1)
+        width = mid - lo
+        buf[0:width] = a[lo:mid]
+        # one comparison per element placed until either run runs out;
+        # ties take the left run's element, which keeps the sort stable
+        i = 0
+        j = mid
+        k = lo
+        x = buf[0]
+        y = a[mid]
+        try:
+            while True:
+                if (x <= y) if asc else (x >= y):
+                    a[k] = x
+                    k += 1
+                    i += 1
+                    if i == width:
+                        break
+                    x = buf[i]
+                else:
+                    a[k] = y
+                    k += 1
+                    j += 1
+                    if j == hi:
+                        break
+                    y = a[j]
+        except BaseException:
+            # the slots from k to j are stale; the left run's unplaced
+            # tail (j - k == width - i of them) belongs there
+            a[k:k + width - i] = buf[i:width]
+            raise
+        cmp += k - lo
+        if i < width:
+            a[k:hi] = buf[i:width]
+            k = hi
+        # width moves into buf, then one write into each slot from lo to
+        # k; any right-run leftovers past k are already in place
+        moves += width + k - lo
 
-        def rec(lo: int, hi: int, depth: int) -> None:
-            nonlocal cmp, moves, peak
-            if depth > peak:
-                peak = depth
-            if hi - lo <= 1:
-                return
-            mid = (lo + hi) // 2
-            rec(lo, mid, depth + 1)
-            rec(mid, hi, depth + 1)
-            width = mid - lo
-            buf[0:width] = a[lo:mid]
-            # one comparison per element placed until either run runs out;
-            # ties take the left run's element, which keeps the sort stable
-            i = 0
-            j = mid
-            k = lo
-            x = buf[0]
-            y = a[mid]
-            try:
-                while True:
-                    if (x <= y) if asc else (x >= y):
-                        a[k] = x
-                        k += 1
-                        i += 1
-                        if i == width:
-                            break
-                        x = buf[i]
-                    else:
-                        a[k] = y
-                        k += 1
-                        j += 1
-                        if j == hi:
-                            break
-                        y = a[j]
-            except BaseException:
-                # the slots from k to j are stale; the left run's unplaced
-                # tail (j - k == width - i of them) belongs there
-                a[k:k + width - i] = buf[i:width]
-                raise
-            cmp += k - lo
-            if i < width:
-                a[k:hi] = buf[i:width]
-                k = hi
-            # width moves into buf, then one write into each slot from lo to
-            # k; any right-run leftovers past k are already in place
-            moves += width + k - lo
-
-        rec(0, n, 1)
-
-    counters.add(comparisons=cmp, element_moves=moves)
-    counters.note_recursion(peak)
+    rec(0, n, 1)
+    if counters is not None:
+        counters.add(comparisons=cmp, element_moves=moves)
+        counters.note_peaks(aux_slots=n, recursion=peak)
 
 
 def _median3_index(a: list, lo: int, mid: int, hi: int, gt: Callable) -> tuple[int, int]:
@@ -255,8 +252,6 @@ def quicksort(
     n = len(elements)
     if n <= 1:
         return
-    if counters is None:
-        counters = OpCounters()
     a = elements
     asc = order is SortOrder.ASCENDING
     gt = operator.gt if asc else operator.lt
@@ -303,8 +298,9 @@ def quicksort(
                 hi = i - 1
 
     rec(0, n - 1, 1)
-    counters.add(comparisons=cmp, swaps=swaps)
-    counters.note_recursion(peak)
+    if counters is not None:
+        counters.add(comparisons=cmp, swaps=swaps)
+        counters.note_peaks(recursion=peak)
 
 
 def bucket_sort(
@@ -317,40 +313,34 @@ def bucket_sort(
 
     Elements scatter into n buckets by key value, each bucket is
     insertion-sorted, and buckets are concatenated back. ``key`` extracts
-    the numeric key when elements are key/payload pairs.
+    the numeric key when elements are key/payload pairs. Every bucket is
+    sorted before any is written back, so a comparison that raises leaves
+    ``elements`` untouched.
     """
     n = len(elements)
     if n == 0:
         return
-    if counters is None:
-        counters = OpCounters()
     get = key or (lambda v: v)
     for x in elements:
         v = get(x)
         if not 0 <= v < 1:
             raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
     asc = order is SortOrder.ASCENDING
-    cmp = moves = 0
-
-    with counters.scratch(2 * n):
-        buckets: list[list] = [[] for _ in range(n)]
-        top = n - 1
-        for x in elements:
-            idx = int(get(x) * n)
-            buckets[idx if idx < top else top].append(x)
-            moves += 1
-        ordered = buckets if asc else reversed(buckets)
-        k = 0
-        for bucket in ordered:
-            c, m = _insertion_loop(bucket, asc)
-            cmp += c
-            moves += m
-            for x in bucket:
-                elements[k] = x
-                k += 1
-                moves += 1
-
-    counters.add(comparisons=cmp, element_moves=moves)
+    buckets: list[list] = [[] for _ in range(n)]
+    top = n - 1
+    for x in elements:
+        idx = int(get(x) * n)
+        buckets[idx if idx < top else top].append(x)
+    cmp = 0
+    moves = 2 * n  # each element's scatter and its write back
+    for bucket in buckets:
+        c, m = _insertion_loop(bucket, asc)
+        cmp += c
+        moves += m
+    elements[:] = chain.from_iterable(buckets if asc else reversed(buckets))
+    if counters is not None:
+        counters.add(comparisons=cmp, element_moves=moves)
+        counters.note_peaks(aux_slots=2 * n)
 
 
 def radix_sort(
@@ -371,8 +361,6 @@ def radix_sort(
     n = len(elements)
     if n == 0:
         return
-    if counters is None:
-        counters = OpCounters()
     get = key or (lambda v: v)
     top = 0
     for x in elements:
@@ -389,19 +377,19 @@ def radix_sort(
     digit_order = range(base) if order is SortOrder.ASCENDING else range(base - 1, -1, -1)
 
     for p in range(digits):
-        with counters.scratch(n + base):
-            src = elements[:]  # staging mirror; same positions, not a move
-            counts = [0] * base
-            div = base**p
-            for x in src:
-                counts[(get(x) // div) % base] += 1
-            total = 0
-            for d in digit_order:
-                counts[d], total = total, total + counts[d]
-            for x in src:
-                d = (get(x) // div) % base
-                elements[counts[d]] = x
-                counts[d] += 1
-                moves += 1
-
-    counters.add(element_moves=moves)
+        src = elements[:]  # staging mirror; same positions, not a move
+        counts = [0] * base
+        div = base**p
+        for x in src:
+            counts[(get(x) // div) % base] += 1
+        total = 0
+        for d in digit_order:
+            counts[d], total = total, total + counts[d]
+        for x in src:
+            d = (get(x) // div) % base
+            elements[counts[d]] = x
+            counts[d] += 1
+            moves += 1
+    if counters is not None:
+        counters.add(element_moves=moves)
+        counters.note_peaks(aux_slots=n + base)

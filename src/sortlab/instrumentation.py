@@ -43,7 +43,6 @@ __all__ = [
     "TaggedElement",
     "StabilityVerdict",
     "BuildCostRow",
-    "STABILITY_EXPECTED",
     "counted_sort",
     "sort_fault",
     "stability_check",
@@ -92,9 +91,6 @@ SPECS: dict[AlgorithmId, AlgorithmSpec] = {
     AlgorithmId.BUBBLE: AlgorithmSpec("bubble_sort", True, _ANY, (), "O(1)", lambda n: 0),
     AlgorithmId.UHS: AlgorithmSpec("uhs_sort", False, _ANY, (), "O(1)", lambda n: 0),
 }
-
-STABILITY_EXPECTED: dict[AlgorithmId, bool] = {a: s.stable for a, s in SPECS.items()}
-
 
 class TaggedElement:
     """A sort key plus the index it started at; orders by key alone.

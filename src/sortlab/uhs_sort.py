@@ -44,13 +44,13 @@ def uhs_sort(
 
     Each extraction moves the root to its final slot (one element move, no
     comparison) and refills the root with the element it displaced, by the
-    leafward sift; one kernel call runs all n - 1 extractions.
+    leafward sift; one kernel call runs all n - 1 extractions. ``build``
+    reports its own counts into ``counters``.
     """
     n = len(elements)
     if n <= 1:
         return
-    if counters is None:
-        counters = OpCounters()
     heap = build(elements, heap_order_for(order), counters)
     cmp, moves = _sift_leafward(elements, n - 1, 0, heap._mx)
-    counters.add(comparisons=cmp, element_moves=moves)
+    if counters is not None:
+        counters.add(comparisons=cmp, element_moves=moves)

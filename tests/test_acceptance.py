@@ -25,7 +25,7 @@ from sortlab.baseline_sorts import AlgorithmId, PivotRule
 from sortlab.cli import main as cli_main
 from sortlab.counting import OpCounters
 from sortlab.instrumentation import (
-    STABILITY_EXPECTED,
+    SPECS,
     TaggedElement,
     build_cost_audit,
     counted_sort,
@@ -132,7 +132,7 @@ def test_criterion_5_stability_verdicts(capsys):
         verdict = stability_check(algorithm, trials=100)
         if verdict.stable or verdict.witness is None or len(verdict.witness) > 6:
             failures.append(f"{algorithm.value}: no short witness ({verdict})")
-    for algorithm in [a for a in AlgorithmId if STABILITY_EXPECTED[a]]:
+    for algorithm in [a for a in AlgorithmId if SPECS[a].stable]:
         verdict = stability_check(algorithm, trials=10_000)
         if not verdict.stable:
             failures.append(f"{algorithm.value}: violation {verdict.witness}")
@@ -150,7 +150,7 @@ def _expected_stable_output(pairs):
 
 
 def _differential_case(algorithm: AlgorithmId, keys: list, seed: int) -> bool:
-    if STABILITY_EXPECTED[algorithm]:
+    if SPECS[algorithm].stable:
         arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
         key = (
             (lambda t: t.key)

@@ -377,42 +377,41 @@ def _ref_merge(a, order, counters):
         return
     le = operator.le if order is SortOrder.ASCENDING else operator.ge
     cmp = moves = peak = 0
-    with counters.scratch(n):
-        buf = [None] * n
+    buf = [None] * n
 
-        def rec(lo, hi, depth):
-            nonlocal cmp, moves, peak
-            peak = max(peak, depth)
-            if hi - lo <= 1:
-                return
-            mid = (lo + hi) // 2
-            rec(lo, mid, depth + 1)
-            rec(mid, hi, depth + 1)
-            width = mid - lo
-            buf[0:width] = a[lo:mid]
-            moves += width
-            i, j, k = 0, mid, lo
-            while i < width and j < hi:
-                cmp += 1
-                x = buf[i]
-                y = a[j]
-                if le(x, y):
-                    a[k] = x
-                    i += 1
-                else:
-                    a[k] = y
-                    j += 1
-                k += 1
-                moves += 1
-            while i < width:
-                a[k] = buf[i]
+    def rec(lo, hi, depth):
+        nonlocal cmp, moves, peak
+        peak = max(peak, depth)
+        if hi - lo <= 1:
+            return
+        mid = (lo + hi) // 2
+        rec(lo, mid, depth + 1)
+        rec(mid, hi, depth + 1)
+        width = mid - lo
+        buf[0:width] = a[lo:mid]
+        moves += width
+        i, j, k = 0, mid, lo
+        while i < width and j < hi:
+            cmp += 1
+            x = buf[i]
+            y = a[j]
+            if le(x, y):
+                a[k] = x
                 i += 1
-                k += 1
-                moves += 1
+            else:
+                a[k] = y
+                j += 1
+            k += 1
+            moves += 1
+        while i < width:
+            a[k] = buf[i]
+            i += 1
+            k += 1
+            moves += 1
 
-        rec(0, n, 1)
+    rec(0, n, 1)
     counters.add(comparisons=cmp, element_moves=moves)
-    counters.note_recursion(peak)
+    counters.note_peaks(aux_slots=n, recursion=peak)
 
 
 def _ref_median3(a, lo, mid, hi, gt):
@@ -478,7 +477,7 @@ def _ref_quick(a, order, counters, pivot, seed):
 
     rec(0, len(a) - 1, 1)
     counters.add(comparisons=cmp, swaps=swaps)
-    counters.note_recursion(peak)
+    counters.note_peaks(recursion=peak)
 
 
 @pytest.mark.parametrize("order", list(SortOrder))

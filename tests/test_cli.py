@@ -264,7 +264,7 @@ class TestVerifyCommand:
         # A sift kernel that never moves anything must fail the heap check;
         # every heap entry point looks the kernel up at call time.
         with monkeypatch.context() as m:
-            m.setattr(heap_core, "_sift_down", lambda a, n, hole, gt: (0, 0))
+            m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
             code, out, _ = run_cli(capsys, ["verify", "--only", "heap-invariants"])
         assert code == 1
         assert "heap-invariants: FAIL" in out

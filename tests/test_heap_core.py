@@ -17,7 +17,13 @@ from sortlab.heap_core import (
     build,
     is_heap,
 )
-from sortlab.baseline_sorts import bubble_sort, insertion_sort, merge_sort, quicksort
+from sortlab.baseline_sorts import (
+    bubble_sort,
+    bucket_sort,
+    insertion_sort,
+    merge_sort,
+    quicksort,
+)
 from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import SortOrder, uhs_sort
 
@@ -380,6 +386,10 @@ class Fuse:
         return self.key <= other.key
 
 
+def _bucket_sort_by_key(a, order):
+    bucket_sort(a, order, key=operator.attrgetter("key"))
+
+
 class TestExceptionSafety:
     @pytest.mark.parametrize("run", [
         uhs_sort,
@@ -406,19 +416,24 @@ class TestExceptionSafety:
         assert raised > 0
 
     @pytest.mark.parametrize("order", list(SortOrder))
-    @pytest.mark.parametrize("sort", [insertion_sort, bubble_sort, merge_sort, quicksort],
-                             ids=["insertion", "bubble", "merge", "quick"])
+    @pytest.mark.parametrize(
+        "sort", [insertion_sort, bubble_sort, merge_sort, quicksort, _bucket_sort_by_key],
+        ids=["insertion", "bubble", "merge", "quick", "bucket"])
     def test_raising_comparison_leaves_baseline_sorts_a_permutation(self, sort, order):
         rng = random.Random(12)
+        unit = sort is _bucket_sort_by_key  # bucket keys must lie in [0, 1)
         raised = 0
         for spend in range(200):
             budget = [spend]
-            items = [Fuse(rng.randint(0, 9), budget) for _ in range(24)]
+            items = [Fuse(rng.randint(0, 9) / 10 if unit else rng.randint(0, 9), budget)
+                     for _ in range(24)]
             a = items[:]
             try:
                 sort(a, order)
             except RuntimeError:
                 raised += 1
+                if unit:  # every bucket is sorted before any is written back
+                    assert all(map(operator.is_, a, items)), spend
             assert Counter(a) == Counter(items), spend
         assert raised > 0
 

@@ -1,16 +1,15 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import sortlab.instrumentation as instrumentation
-from sortlab.baseline_sorts import AlgorithmId, PivotRule
+from sortlab.baseline_sorts import AlgorithmId, PivotRule, bucket_sort, merge_sort
 from sortlab.instrumentation import (
     SPECS,
-    STABILITY_EXPECTED,
     BuildCostRow,
+    KeyDomain,
     OpCounters,
     StabilityVerdict,
     TaggedElement,
@@ -29,51 +28,42 @@ class TestOpCounters:
         c.add(comparisons=2, element_moves=7)
         assert (c.comparisons, c.swaps, c.element_moves) == (5, 1, 7)
 
-    def test_scratch_tracks_nested_peak(self):
+    def test_note_peaks_keeps_max(self):
         c = OpCounters()
-        with c.scratch(5):
-            with c.scratch(3):
-                pass
-            assert c.aux_peak_slots == 8
-        with c.scratch(4):
-            pass
-        assert c.aux_peak_slots == 8  # peak is sticky, live usage went back down
-        with c.scratch(10):
-            assert c.aux_peak_slots == 10
-
-    def test_scratch_releases_on_exception(self):
-        c = OpCounters()
-        with pytest.raises(RuntimeError):
-            with c.scratch(6):
-                raise RuntimeError("boom")
-        with c.scratch(2):
-            pass
-        assert c.aux_peak_slots == 6
-
-    def test_note_recursion_keeps_max(self):
-        c = OpCounters()
-        c.note_recursion(3)
-        c.note_recursion(1)
-        assert c.recursion_peak == 3
+        c.note_peaks(aux_slots=5, recursion=3)
+        c.note_peaks(aux_slots=8)
+        c.note_peaks(aux_slots=2, recursion=1)
+        assert (c.aux_peak_slots, c.recursion_peak) == (8, 3)
 
     def test_as_dict_matches_csv_columns(self):
-        assert list(OpCounters().as_dict()) == [
-            "comparisons", "swaps", "element_moves", "aux_peak_slots", "recursion_peak",
-        ]
+        columns = ["comparisons", "swaps", "element_moves", "aux_peak_slots", "recursion_peak"]
+        assert [f.name for f in fields(OpCounters)] == columns
+        assert list(OpCounters().as_dict()) == columns
 
-    @given(st.lists(st.integers(min_value=0, max_value=50), max_size=8))
-    def test_property_nested_scratch_peak(self, sizes):
-        c = OpCounters()
-        prefix = [sum(sizes[: k + 1]) for k in range(len(sizes))]
+    def test_two_sorts_into_one_ledger_add_counts_and_keep_larger_peaks(self):
+        small = [0.5, 0.25, 0.75]
+        large = [r / 64 for r in (37, 3, 60, 12, 12, 41, 0, 29)]
+        separate = [counted_sort(AlgorithmId.BUCKET, k[:])[1] for k in (small, large)]
+        merge = counted_sort(AlgorithmId.MERGE, large[:])[1]
+        shared = OpCounters()
+        bucket_sort(large[:], counters=shared)  # the largest aux peak comes first
+        merge_sort(large[:], counters=shared)
+        bucket_sort(small[:], counters=shared)
+        for name in ("comparisons", "swaps", "element_moves"):
+            want = getattr(separate[0], name) + getattr(separate[1], name) + getattr(merge, name)
+            assert getattr(shared, name) == want, name
+        assert shared.aux_peak_slots == 2 * len(large)
+        assert shared.recursion_peak == merge.recursion_peak > 0
 
-        def nest(idx):
-            if idx == len(sizes):
-                return
-            with c.scratch(sizes[idx]):
-                nest(idx + 1)
-
-        nest(0)
-        assert c.aux_peak_slots == (max(prefix) if prefix else 0)
+    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_every_sort_sorts_without_counters(self, algorithm, order):
+        domain = SPECS[algorithm].keys
+        raw = [7, 3, 3, 250, 0, 19, 300, 7, 1, 64]
+        keys = [r / 301 for r in raw] if domain is KeyDomain.UNIT_FLOAT else raw
+        arr = keys[:]
+        getattr(instrumentation, SPECS[algorithm].sort)(arr, order)
+        assert arr == sorted(keys, reverse=order is SortOrder.DESCENDING)
 
 
 class TestSpecs:
@@ -84,9 +74,6 @@ class TestSpecs:
     def test_sort_names_are_module_callables(self):
         for spec in SPECS.values():
             assert callable(getattr(instrumentation, spec.sort, None)), spec.sort
-
-    def test_stability_expected_is_a_view_of_the_table(self):
-        assert STABILITY_EXPECTED == {a: s.stable for a, s in SPECS.items()}
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -158,7 +145,7 @@ class TestStabilityCheck:
     @pytest.mark.parametrize("algorithm", list(AlgorithmId))
     def test_verdicts_match_design(self, algorithm):
         verdict = stability_check(algorithm, trials=400)
-        assert verdict.stable == STABILITY_EXPECTED[algorithm]
+        assert verdict.stable == SPECS[algorithm].stable
         assert verdict.trials > 0
 
     def test_unstable_witnesses_are_short(self):
@@ -192,9 +179,6 @@ class TestStabilityCheck:
         unstable = StabilityVerdict(AlgorithmId.UHS, False, 9, [0, 0])
         assert stable.describe() == "merge: STABLE(trials=123)"
         assert unstable.describe() == "uhs: UNSTABLE witness=[0, 0]"
-
-    def test_expected_table_covers_every_algorithm(self):
-        assert set(STABILITY_EXPECTED) == set(AlgorithmId)
 
 
 class TestSortFault:
