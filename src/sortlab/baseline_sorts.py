@@ -4,11 +4,15 @@ Every sort mutates its input list, honors ascending/descending order, and
 reports costs through :class:`~sortlab.counting.OpCounters`. The comparison
 loops compare inline and work out their comparison counts from loop indices
 instead of counting each step. Insertion and bubble sort, where nearly all
-of a benchmark sweep's time goes, keep one copy of their loop per order;
-merge sort and quicksort branch on the order at each comparison, which
-timed the same as separate copies. Elements are compared only through their
-own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements (key + payload)
-travel through unchanged for stability experiments.
+of a benchmark sweep's time goes, keep one copy of their loop per order,
+and their Python loops only compare: insertion sort moves each run of
+shifted elements with one C-level list operation, and bubble sort writes
+one slot per step. Their counts are still those of the textbook loops,
+which shift or exchange one element at a time. Merge sort and quicksort
+branch on the order at each comparison, which timed the same as separate
+copies. Elements are compared only through their own ``<``, ``<=``, ``>``
+and ``>=``, so tagged elements (key + payload) travel through unchanged for
+stability experiments.
 """
 
 from __future__ import annotations
@@ -51,44 +55,40 @@ RADIX_BASE = 256  # radix sort's digit base: one byte of the key per pass
 def _insertion_loop(a: list, asc: bool) -> tuple[int, int]:
     """Insertion-sort ``a`` in place; returns (comparisons, element_moves).
 
-    Each insertion compares once per element it shifts, plus once more with
-    the element it stops at, unless it ran off the front of the list. If a
-    comparison raises, ``x`` goes back into the hole at ``j + 1`` first, so
-    ``a`` stays a permutation of its input.
+    The Python loop only compares: each insertion scans left from ``a[i]``
+    past every element that must come after it, then one C-level ``del``
+    and ``insert`` pair moves the whole run. The counts are those of the
+    textbook loop that shifts one element at a time: a comparison per
+    element shifted, plus one with the element the scan stops at unless it
+    ran off the front, and a move per element shifted plus one for ``x``.
+    Nothing is written while a comparison runs, so if one raises, ``a`` is
+    left as it was after the last completed insertion.
     """
     cmp = moves = 0
     if asc:
-        try:
-            for i in range(1, len(a)):
-                x = a[i]
-                j = i - 1
-                while j >= 0 and a[j] > x:
-                    a[j + 1] = a[j]
-                    j -= 1
-                shifted = i - 1 - j
-                cmp += shifted + (j >= 0)
-                if shifted:
-                    a[j + 1] = x
-                    moves += shifted + 1
-        except BaseException:
-            a[j + 1] = x
-            raise
+        for i in range(1, len(a)):
+            x = a[i]
+            j = i - 1
+            while j >= 0 and a[j] > x:
+                j -= 1
+            shifted = i - 1 - j
+            cmp += shifted + (j >= 0)
+            if shifted:
+                del a[i]
+                a.insert(j + 1, x)
+                moves += shifted + 1
     else:
-        try:
-            for i in range(1, len(a)):
-                x = a[i]
-                j = i - 1
-                while j >= 0 and a[j] < x:
-                    a[j + 1] = a[j]
-                    j -= 1
-                shifted = i - 1 - j
-                cmp += shifted + (j >= 0)
-                if shifted:
-                    a[j + 1] = x
-                    moves += shifted + 1
-        except BaseException:
-            a[j + 1] = x
-            raise
+        for i in range(1, len(a)):
+            x = a[i]
+            j = i - 1
+            while j >= 0 and a[j] < x:
+                j -= 1
+            shifted = i - 1 - j
+            cmp += shifted + (j >= 0)
+            if shifted:
+                del a[i]
+                a.insert(j + 1, x)
+                moves += shifted + 1
     return cmp, moves
 
 
@@ -110,39 +110,47 @@ def bubble_sort(
 ) -> None:
     """Stable in-place bubble sort with early exit on a swap-free pass.
 
-    Each pass carries the element it is bubbling in a local: that element
-    is compared with its right neighbour and, if it must come later, the
-    two swap places; otherwise the neighbour becomes the carried element.
-    A pass over ``end + 1`` slots makes exactly ``end`` comparisons.
+    Each pass holds the element it is bubbling in a local ``x`` and leaves a
+    hole where it was. Step ``h`` compares ``x`` with the next element
+    ``y``, read from a snapshot of the pass's slots (no step reads a slot
+    the pass has written), and fills the hole with one write: ``y`` if the
+    two swap, otherwise ``x``, and ``y`` is held from then on. Each swap
+    step is one adjacent exchange of the textbook pass, so ``swaps`` counts
+    exactly those exchanges; a pass over ``end + 1`` slots makes ``end``
+    comparisons. If a comparison raises, the held element drops into the
+    hole, so ``elements`` stays a permutation of its input.
     """
     a = elements
     asc = order is SortOrder.ASCENDING
     cmp = swaps = 0
     end = len(a) - 1
     while end > 0:
-        before = swaps
+        h = keep = 0
         x = a[0]
-        if asc:
-            for j in range(1, end + 1):
-                y = a[j]
-                if x > y:
-                    a[j - 1] = y
-                    a[j] = x
-                    swaps += 1
-                else:
-                    x = y
-        else:
-            for j in range(1, end + 1):
-                y = a[j]
-                if x < y:
-                    a[j - 1] = y
-                    a[j] = x
-                    swaps += 1
-                else:
-                    x = y
+        try:
+            if asc:
+                for h, y in enumerate(a[1:end + 1]):
+                    if x > y:
+                        a[h] = y
+                    else:
+                        a[h] = x
+                        x = y
+                        keep += 1
+            else:
+                for h, y in enumerate(a[1:end + 1]):
+                    if x < y:
+                        a[h] = y
+                    else:
+                        a[h] = x
+                        x = y
+                        keep += 1
+            h = end
+        finally:
+            a[h] = x
         cmp += end
-        if swaps == before:
+        if keep == end:
             break
+        swaps += end - keep
         end -= 1
     if counters is not None:
         counters.add(comparisons=cmp, swaps=swaps)

@@ -506,3 +506,55 @@ def test_kernels_match_operator_reference(order):
             sort(got, order, cg)
             assert [e.origin for e in got] == [e.origin for e in want], (sort, keys)
             assert cg.as_dict() == cw.as_dict(), (sort, keys)
+
+
+class _Recorded:
+    """Orders by key alone, and logs each comparison it makes as
+    (operator, left operand's origin, right operand's origin)."""
+
+    __slots__ = ("key", "origin", "log")
+
+    def __init__(self, key, origin, log):
+        self.key = key
+        self.origin = origin
+        self.log = log
+
+    def _compare(self, op, other):
+        self.log.append((op.__name__, self.origin, other.origin))
+        return op(self.key, other.key)
+
+    def __lt__(self, other):
+        return self._compare(operator.lt, other)
+
+    def __le__(self, other):
+        return self._compare(operator.le, other)
+
+    def __gt__(self, other):
+        return self._compare(operator.gt, other)
+
+    def __ge__(self, other):
+        return self._compare(operator.ge, other)
+
+
+@pytest.mark.parametrize("order", list(SortOrder))
+def test_kernels_make_the_reference_comparisons(order):
+    # equal totals can hide a kernel that compares other operands, with
+    # another operator or in another order; the logs cannot
+    pairs = [(insertion_sort, _ref_insertion), (bubble_sort, _ref_bubble),
+             (merge_sort, _ref_merge)]
+    for pivot in PivotRule:
+        pairs.append((
+            lambda a, o, c, p=pivot: quicksort(a, o, c, pivot=p, seed=len(a)),
+            lambda a, o, c, p=pivot: _ref_quick(a, o, c, p, seed=len(a)),
+        ))
+    rng = random.Random(37)
+    for _ in range(120):
+        n = rng.randint(0, 40)
+        keys = [rng.randint(0, n // 3 + 1) for _ in range(n)]
+        if rng.random() < 0.3:
+            keys.sort(reverse=rng.random() < 0.5)
+        for sort, ref in pairs:
+            want, got = [], []
+            ref([_Recorded(k, i, want) for i, k in enumerate(keys)], order, OpCounters())
+            sort([_Recorded(k, i, got) for i, k in enumerate(keys)], order, OpCounters())
+            assert got == want, (sort, keys)
