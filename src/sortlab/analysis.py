@@ -25,6 +25,7 @@ from .instrumentation import (
     KeyDomain,
     StabilityVerdict,
     counted_sort,
+    draws_below,
     stability_check,
 )
 from .uhs_sort import SortOrder
@@ -116,7 +117,8 @@ def generate_input(
 
     ``floats`` switches the integer distributions to equivalents inside
     [0, 1) so bucket sort can consume any distribution; uniform01 is floats
-    by definition.
+    by definition. Integer draws match ``random.Random(seed)``'s
+    ``randrange`` and ``choice`` value for value (see `draws_below`).
     """
     rng = random.Random(seed)
     if distribution is Distribution.UNIFORM01:
@@ -129,12 +131,11 @@ def generate_input(
         return list(range(n - 1, -1, -1))
     if distribution is Distribution.FEW_UNIQUE:
         palette = _FEW_UNIQUE_FLOATS if floats else _FEW_UNIQUE_INTS
-        return [rng.choice(palette) for _ in range(n)]
+        return [palette[i] for i in draws_below(rng, len(palette), n)]
     if distribution is Distribution.RANDOM_SEEDED:
         if floats:
             return [rng.random() for _ in range(n)]
-        span = max(4 * n, 1)
-        return [rng.randrange(span) for _ in range(n)]
+        return draws_below(rng, max(4 * n, 1), n)
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
@@ -292,8 +293,7 @@ def time_table(seed: int = 0) -> list[TimeRow]:
         return [rng.random() / n for _ in range(n)]
 
     def radix_keys(n, s):
-        rng = random.Random(s)
-        return [rng.randrange(65536) for _ in range(n)]
+        return draws_below(random.Random(s), 65536, n)
 
     A, C = AlgorithmId, Complexity
     rows.append(TimeRow(A.INSERTION, "worst", "reversed", C.QUADRATIC,
@@ -341,11 +341,10 @@ def space_table(seed: int = 0, n: int = 4096, quick_trials: int = 100) -> list[S
     """
     log2n = int(math.log2(n))
     R, U = Distribution.RANDOM_SEEDED, Distribution.UNIFORM01
-    rng16 = random.Random(_subseed(seed, n, R, 1))
     keys = {
         KeyDomain.COMPARABLE: generate_input(R, n, _subseed(seed, n, R, 0)),
         KeyDomain.UNIT_FLOAT: generate_input(U, n, _subseed(seed, n, U, 0)),
-        KeyDomain.NONNEG_INT: [rng16.randrange(65536) for _ in range(n)],
+        KeyDomain.NONNEG_INT: draws_below(random.Random(_subseed(seed, n, R, 1)), 65536, n),
     }
 
     depth = quick_aux = 0

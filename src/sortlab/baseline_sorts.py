@@ -8,11 +8,11 @@ of a benchmark sweep's time goes, keep one copy of their loop per order,
 and their Python loops only compare: insertion sort moves each run of
 shifted elements with one C-level list operation, and bubble sort writes
 one slot per step. Their counts are still those of the textbook loops,
-which shift or exchange one element at a time. Merge sort and quicksort
-branch on the order at each comparison, which timed the same as separate
-copies. Elements are compared only through their own ``<``, ``<=``, ``>``
-and ``>=``, so tagged elements (key + payload) travel through unchanged for
-stability experiments.
+which shift or exchange one element at a time. Quicksort's partition loop
+also has one copy per order; merge sort branches on the order at each
+comparison, which timed the same as separate copies. Elements are compared
+only through their own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements
+(key + payload) travel through unchanged for stability experiments.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def quicksort(
     a = elements
     asc = order is SortOrder.ASCENDING
     gt = operator.gt if asc else operator.lt
-    rng = random.Random(seed) if pivot is PivotRule.RANDOM_SEEDED else None
+    bits = random.Random(seed).getrandbits if pivot is PivotRule.RANDOM_SEEDED else None
     cmp = swaps = peak = 0
 
     def rec(lo: int, hi: int, depth: int) -> None:
@@ -271,9 +271,15 @@ def quicksort(
         if depth > peak:
             peak = depth
         while lo < hi:
-            if rng is not None:
-                k = rng.randint(lo, hi)
-                if k != hi:
+            if bits is not None:
+                # rng.randint(lo, hi) value for value: CPython's rejection loop
+                width = hi - lo
+                nbits = (width + 1).bit_length()
+                r = bits(nbits)
+                while r > width:
+                    r = bits(nbits)
+                if r != width:
+                    k = lo + r
                     a[k], a[hi] = a[hi], a[k]
                     swaps += 1
             elif pivot is PivotRule.MEDIAN_OF_THREE and hi - lo >= 2:
@@ -282,16 +288,31 @@ def quicksort(
                 if m != hi:
                     a[m], a[hi] = a[hi], a[m]
                     swaps += 1
+            # Elements before the first one that belongs after p stay put;
+            # from there on, each one that belongs before p is a swap.
             p = a[hi]
             i = lo
-            for j in range(lo, hi):
-                x = a[j]
-                if (x <= p) if asc else (x >= p):
-                    if i != j:
+            if asc:
+                while i < hi and a[i] <= p:
+                    i += 1
+                first = i
+                for j in range(i + 1, hi):
+                    x = a[j]
+                    if x <= p:
                         a[j] = a[i]
                         a[i] = x
-                        swaps += 1
+                        i += 1
+            else:
+                while i < hi and a[i] >= p:
                     i += 1
+                first = i
+                for j in range(i + 1, hi):
+                    x = a[j]
+                    if x >= p:
+                        a[j] = a[i]
+                        a[i] = x
+                        i += 1
+            swaps += i - first
             cmp += hi - lo
             if i != hi:
                 a[i], a[hi] = a[hi], a[i]
@@ -311,6 +332,11 @@ def quicksort(
         counters.note_peaks(recursion=peak)
 
 
+def _keys_of(elements: list, key: Callable | None):
+    """The sort keys of ``elements``: the elements themselves when ``key`` is None."""
+    return elements if key is None else map(key, elements)
+
+
 def bucket_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
@@ -328,23 +354,22 @@ def bucket_sort(
     n = len(elements)
     if n == 0:
         return
-    get = key or (lambda v: v)
-    for x in elements:
-        v = get(x)
+    for v in _keys_of(elements, key):
         if not 0 <= v < 1:
             raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
     asc = order is SortOrder.ASCENDING
     buckets: list[list] = [[] for _ in range(n)]
     top = n - 1
-    for x in elements:
-        idx = int(get(x) * n)
+    for x, v in zip(elements, _keys_of(elements, key)):
+        idx = int(v * n)
         buckets[idx if idx < top else top].append(x)
     cmp = 0
     moves = 2 * n  # each element's scatter and its write back
     for bucket in buckets:
-        c, m = _insertion_loop(bucket, asc)
-        cmp += c
-        moves += m
+        if len(bucket) > 1:
+            c, m = _insertion_loop(bucket, asc)
+            cmp += c
+            moves += m
     elements[:] = chain.from_iterable(buckets if asc else reversed(buckets))
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
@@ -369,10 +394,8 @@ def radix_sort(
     n = len(elements)
     if n == 0:
         return
-    get = key or (lambda v: v)
     top = 0
-    for x in elements:
-        v = get(x)
+    for v in _keys_of(elements, key):
         if not isinstance(v, int):
             raise KeyDomainError(f"radix sort requires integer keys, got {v!r}")
         if v < 0:
@@ -388,16 +411,16 @@ def radix_sort(
         src = elements[:]  # staging mirror; same positions, not a move
         counts = [0] * base
         div = base**p
-        for x in src:
-            counts[(get(x) // div) % base] += 1
+        for v in _keys_of(src, key):
+            counts[(v // div) % base] += 1
         total = 0
         for d in digit_order:
             counts[d], total = total, total + counts[d]
-        for x in src:
-            d = (get(x) // div) % base
+        for x, v in zip(src, _keys_of(src, key)):
+            d = (v // div) % base
             elements[counts[d]] = x
             counts[d] += 1
-            moves += 1
+        moves += n
     if counters is not None:
         counters.add(element_moves=moves)
         counters.note_peaks(aux_slots=n + base)

@@ -7,7 +7,7 @@ key/origin pairs and names how the result differs from Python's stable
 ``sorted``. `stability_check` drives it to hunt for the smallest reordering
 witness an algorithm admits, and `verify`'s differential check drives it in
 both orders. `build_cost_audit` confirms the linear bound on bottom-up heap
-construction.
+construction. `draws_below` draws seeded integer keys in bulk.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, Sequence
@@ -91,6 +92,29 @@ SPECS: dict[AlgorithmId, AlgorithmSpec] = {
     AlgorithmId.BUBBLE: AlgorithmSpec("bubble_sort", True, _ANY, (), "O(1)", lambda n: 0),
     AlgorithmId.UHS: AlgorithmSpec("uhs_sort", False, _ANY, (), "O(1)", lambda n: 0),
 }
+
+
+def draws_below(rng: random.Random, span: int, count: int) -> list[int]:
+    """The next ``count`` values of ``rng.randrange(span)``, value for value.
+
+    It runs CPython's own rejection loop (``Random._randbelow``: draw
+    ``span.bit_length()`` bits, redraw while the value is ``span`` or more)
+    without ``randrange``'s per-call overhead, so it leaves ``rng`` exactly
+    where that many ``randrange(span)`` calls would. ``randint(a, b)`` is
+    ``a + randrange(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[randrange(len(seq))]``, so their streams are reproduced too.
+    ``span`` must be positive.
+    """
+    k = span.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
+        out.append(r)
+    return out
+
 
 class TaggedElement:
     """A sort key plus the index it started at; orders by key alone.
@@ -177,6 +201,21 @@ def counted_sort(
 _tagged_key = attrgetter("key")
 
 
+class _IntTag(int):
+    """An int key that is its own tag: it compares in C and is told apart by identity."""
+
+    __slots__ = ()
+
+
+class _FloatTag(float):
+    """A float key that is its own tag: it compares in C and is told apart by identity."""
+
+    __slots__ = ()
+
+
+_C_TAGS = {int: _IntTag, float: _FloatTag}
+
+
 def sort_fault(
     algorithm: AlgorithmId, keys: Sequence, order: SortOrder, seed: int, pivot: PivotRule
 ) -> str | None:
@@ -185,18 +224,53 @@ def sort_fault(
     Returns None when every element lands exactly where ``sorted`` puts it,
     "unstable" when the output is a permutation of the input with the right
     keys in the right order but some equal keys changed places, and
-    "missorted" for anything else.
+    "missorted" for anything else. When every key is a plain int, or every
+    key a plain float, each tag is a new instance of a subclass of that type,
+    so it compares in C and is its own sort key; any other keys ride in
+    `TaggedElement`. Either way a tag is known by its identity alone, so an
+    equal key written back in its place is not mistaken for it.
     """
-    arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
-    want = sorted(arr, key=_tagged_key, reverse=order is SortOrder.DESCENDING)
-    key = _tagged_key if "key" in SPECS[algorithm].options else None
-    counted_sort(algorithm, arr, order, seed=seed, pivot=pivot, key=key)
+    kinds = set(map(type, keys))
+    tag = _C_TAGS.get(kinds.pop()) if len(kinds) == 1 else None
+    if tag is not None:
+        tags, key = list(map(tag, keys)), None
+    else:
+        tags, key = [TaggedElement(k, i) for i, k in enumerate(keys)], _tagged_key
+    want = sorted(tags, key=key, reverse=order is SortOrder.DESCENDING)
+    arr = tags[:]
+    counted_sort(algorithm, arr, order, seed=seed, pivot=pivot,
+                 key=key if "key" in SPECS[algorithm].options else None)
     if len(arr) == len(want) and all(map(is_, arr, want)):
         return None
-    same_keys = [t.key for t in arr] == [t.key for t in want]
-    if same_keys and sorted(t.origin for t in arr) == list(range(len(want))):
+    # every tag is alive in `tags`, so no foreign object in `arr` shares an id with one
+    origin = {id(t): i for i, t in enumerate(tags)}
+    got = [origin.get(id(t), -1) for t in arr]
+    if sorted(got) == list(range(len(want))) and (
+        [keys[i] for i in got] == [keys[origin[id(t)]] for t in want]
+    ):
         return "unstable"
     return "missorted"
+
+
+@lru_cache(maxsize=1)
+def _stability_candidates(seed: int, trials: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """`stability_check`'s key sequences: (raw int keys, span that maps them into [0, 1)).
+
+    Every algorithm checked with the same ``seed`` and ``trials`` shares one
+    draw of them.
+    """
+    found = [
+        (combo, 4)
+        for n in range(2, 7)
+        for combo in product(range(3), repeat=n)
+        if len(set(combo)) < n  # all-distinct keys cannot witness anything
+    ]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        size = rng.randint(2, 64)
+        top = max(1, size // 4)
+        found.append((tuple(draws_below(rng, top + 1, size)), top + 1))  # randint(0, top)
+    return tuple(found)
 
 
 def stability_check(
@@ -209,24 +283,12 @@ def stability_check(
     Phase two hammers a stable one with ``trials`` seeded random
     duplicate-heavy arrays of up to 64 elements. Quicksort runs with the
     last-element pivot. Any witness found is re-run before being reported.
+    Calls with the same ``seed`` and ``trials`` draw their candidates once.
     """
     floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
-
-    def candidates():  # (raw int keys, span that maps them into [0, 1))
-        for n in range(2, 7):
-            for combo in product(range(3), repeat=n):
-                if len(set(combo)) < n:  # all-distinct keys cannot witness anything
-                    yield combo, 4
-        rng = random.Random(seed)
-        for _ in range(trials):
-            size = rng.randint(2, 64)
-            top = max(1, size // 4)
-            yield [rng.randint(0, top) for _ in range(size)], top + 1
-
-    examined = 0
-    for raw, span in candidates():
+    candidates = _stability_candidates(seed, trials)
+    for examined, (raw, span) in enumerate(candidates, 1):
         keys = [r / span for r in raw] if floats else list(raw)
-        examined += 1
         fault = sort_fault(algorithm, keys, SortOrder.ASCENDING, seed, PivotRule.LAST_ELEMENT)
         if fault == "missorted":
             raise RuntimeError(f"{algorithm.value} missorted {keys!r}")
@@ -235,7 +297,7 @@ def stability_check(
             if again != fault:
                 raise RuntimeError(f"witness {keys!r} did not reproduce")
             return StabilityVerdict(algorithm, False, examined, keys)
-    return StabilityVerdict(algorithm, True, examined, None)
+    return StabilityVerdict(algorithm, True, len(candidates), None)
 
 
 def build_cost_audit(n_values: Sequence[int], seed: int = 0) -> list[BuildCostRow]:

@@ -8,7 +8,6 @@ asserted at its stated tolerance -- nothing is loosened for convenience.
 import math
 import random
 import time
-from operator import itemgetter
 
 from conftest import record_criterion
 
@@ -26,12 +25,11 @@ from sortlab.cli import main as cli_main
 from sortlab.counting import OpCounters
 from sortlab.instrumentation import (
     SPECS,
-    TaggedElement,
     build_cost_audit,
-    counted_sort,
+    sort_fault,
     stability_check,
 )
-from sortlab.uhs_sort import uhs_sort
+from sortlab.uhs_sort import SortOrder, uhs_sort
 
 
 def test_criterion_1_linear_heap_construction():
@@ -145,24 +143,11 @@ def test_criterion_5_stability_verdicts(capsys):
     assert ok, failures
 
 
-def _expected_stable_output(pairs):
-    return sorted(pairs, key=itemgetter(0))
-
-
 def _differential_case(algorithm: AlgorithmId, keys: list, seed: int) -> bool:
-    if SPECS[algorithm].stable:
-        arr = [TaggedElement(k, i) for i, k in enumerate(keys)]
-        key = (
-            (lambda t: t.key)
-            if algorithm in (AlgorithmId.BUCKET, AlgorithmId.RADIX)
-            else None
-        )
-        counted_sort(algorithm, arr, seed=seed, key=key)
-        got = [(t.key, t.origin) for t in arr]
-        return got == _expected_stable_output(list(zip(keys, range(len(keys)))))
-    arr = list(keys)
-    counted_sort(algorithm, arr, seed=seed)
-    return arr == sorted(keys)
+    # every element exactly where the stable sorted() puts it; an unstable
+    # algorithm may reorder equal keys, but nothing else
+    fault = sort_fault(algorithm, keys, SortOrder.ASCENDING, seed, PivotRule.RANDOM_SEEDED)
+    return fault is None or (fault == "unstable" and not SPECS[algorithm].stable)
 
 
 def _keys_for(algorithm: AlgorithmId, n: int, rng: random.Random) -> list:

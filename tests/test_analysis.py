@@ -104,6 +104,18 @@ class TestGenerateInput:
     def test_empty(self):
         assert generate_input(Distribution.RANDOM_SEEDED, 0, 0) == []
 
+    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    def test_integer_draws_are_random_randoms(self, n):
+        # the integer cells draw in bulk, value for value what randrange and
+        # choice on random.Random(seed) give, so seeded CSVs never move
+        for seed in (0, 7, 1000003):
+            ref = random.Random(seed)
+            assert generate_input(Distribution.RANDOM_SEEDED, n, seed) == [
+                ref.randrange(4 * n) for _ in range(n)]
+            ref = random.Random(seed)
+            assert generate_input(Distribution.FEW_UNIQUE, n, seed) == [
+                ref.choice((5, 13, 89, 144)) for _ in range(n)]
+
 
 class TestRunSweep:
     def test_record_count_and_csv_shape(self):

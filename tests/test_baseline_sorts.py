@@ -558,3 +558,20 @@ def test_kernels_make_the_reference_comparisons(order):
             ref([_Recorded(k, i, want) for i, k in enumerate(keys)], order, OpCounters())
             sort([_Recorded(k, i, got) for i, k in enumerate(keys)], order, OpCounters())
             assert got == want, (sort, keys)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000, 5000])
+def test_seeded_pivots_are_the_randint_stream(n):
+    # _ref_quick draws each pivot with rng.randint(lo, hi), the kernel with
+    # its own rejection loop on getrandbits; with distinct keys every
+    # partition's comparisons name its pivot, so equal logs mean equal
+    # pivot sequences, over spans of every bit length up to n's
+    keys = random.Random(n).sample(range(10 * n), n)
+    for seed in (0, 1, 2):
+        for order in SortOrder:
+            want, got = [], []
+            _ref_quick([_Recorded(k, i, want) for i, k in enumerate(keys)], order,
+                       OpCounters(), PivotRule.RANDOM_SEEDED, seed)
+            quicksort([_Recorded(k, i, got) for i, k in enumerate(keys)], order,
+                      pivot=PivotRule.RANDOM_SEEDED, seed=seed)
+            assert got == want, (n, seed, order)

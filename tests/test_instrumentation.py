@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +16,7 @@ from sortlab.instrumentation import (
     TaggedElement,
     build_cost_audit,
     counted_sort,
+    draws_below,
     sort_fault,
     stability_check,
 )
@@ -216,6 +218,84 @@ class TestSortFault:
         monkeypatch.setattr(instrumentation, "merge_sort", backwards)
         fault = sort_fault(AlgorithmId.MERGE, [2, 0, 1], order, 0, PivotRule.LAST_ELEMENT)
         assert fault == "missorted"
+
+
+class TestCTags:
+    # one key list per kind of tag: ints and floats ride as C-compared tags,
+    # anything else in TaggedElement; each holds a pair of equal keys, and a
+    # plain value-equal copy of a tag
+    KINDS = {
+        "int": ([3, 1, 3, 2], int),
+        "float": ([0.75, 0.25, 0.75, 0.5], float),
+        "fallback": (["c", "a", "c", "b"], lambda t: TaggedElement(t.key, t.origin)),
+    }
+
+    @pytest.fixture(params=list(KINDS))
+    def kind(self, request):
+        return self.KINDS[request.param]
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_plain_copy_in_place_of_a_tag_is_missorted(self, kind, order, monkeypatch):
+        keys, copy = kind
+        real = instrumentation.merge_sort
+
+        def copying(elements, order, counters, **kw):
+            real(elements, order, counters, **kw)
+            elements[1] = copy(elements[1])
+
+        monkeypatch.setattr(instrumentation, "merge_sort", copying)
+        fault = sort_fault(AlgorithmId.MERGE, keys, order, 0, PivotRule.LAST_ELEMENT)
+        assert fault == "missorted"
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_swapped_equal_tags_are_unstable(self, kind, order, monkeypatch):
+        keys, _ = kind
+        real = instrumentation.merge_sort
+
+        def swapping(elements, order, counters, **kw):
+            real(elements, order, counters, **kw)
+            i = next(i for i in range(len(elements) - 1) if elements[i] == elements[i + 1])
+            elements[i], elements[i + 1] = elements[i + 1], elements[i]
+
+        monkeypatch.setattr(instrumentation, "merge_sort", swapping)
+        fault = sort_fault(AlgorithmId.MERGE, keys, order, 0, PivotRule.LAST_ELEMENT)
+        assert fault == "unstable"
+
+    def test_int_and_float_keys_compare_in_c(self, monkeypatch):
+        seen = []
+        real = instrumentation.merge_sort
+
+        def spying(elements, order, counters, **kw):
+            seen.append({type(e) for e in elements})
+            real(elements, order, counters, **kw)
+
+        monkeypatch.setattr(instrumentation, "merge_sort", spying)
+        for keys, _ in self.KINDS.values():
+            assert sort_fault(AlgorithmId.MERGE, keys, SortOrder.ASCENDING, 0,
+                              PivotRule.LAST_ELEMENT) is None
+        ints, floats, fallback = (kinds.pop() for kinds in seen)
+        assert issubclass(ints, int) and ints is not int
+        assert issubclass(floats, float) and floats is not float
+        assert fallback is TaggedElement
+
+
+class TestDrawsBelow:
+    @pytest.mark.parametrize("span", [1, 2, 3, 4, 63, 2**16, 4 * 4096, 2**32])
+    def test_randrange_value_for_value(self, span):
+        for seed in (0, 1, 99):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 2, 300):
+                assert draws_below(rng, span, count) == [ref.randrange(span) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()  # same bits consumed, too
+
+    def test_randint_and_choice_reduce_to_it(self):
+        rng, ref = random.Random(5), random.Random(5)
+        assert [-999 + r for r in draws_below(rng, 1999, 500)] == [
+            ref.randint(-999, 999) for _ in range(500)]
+        palette = (5, 13, 89, 144)
+        assert [palette[i] for i in draws_below(rng, len(palette), 500)] == [
+            ref.choice(palette) for _ in range(500)]
+        assert rng.getstate() == ref.getstate()
 
 
 class TestBuildCostAudit:
