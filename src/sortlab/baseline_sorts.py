@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 import random
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable
 
 from .counting import OpCounters
@@ -405,7 +405,7 @@ def radix_sort(
     digits = max(1, (top.bit_length() + 7) // 8)
     base = RADIX_BASE
     moves = 0
-    digit_order = range(base) if order is SortOrder.ASCENDING else range(base - 1, -1, -1)
+    ascending = order is SortOrder.ASCENDING
 
     for p in range(digits):
         src = elements[:]  # staging mirror; same positions, not a move
@@ -413,9 +413,12 @@ def radix_sort(
         div = base**p
         for v in _keys_of(src, key):
             counts[(v // div) % base] += 1
-        total = 0
-        for d in digit_order:
-            counts[d], total = total, total + counts[d]
+        # Tallies become each digit's first slot, past the keys of every digit
+        # placed before it: the smaller ones ascending, the larger descending.
+        if ascending:
+            counts = list(accumulate(counts[:-1], initial=0))
+        else:  # n minus the keys whose digit is d or smaller
+            counts = list(map(n.__sub__, accumulate(counts)))
         for x, v in zip(src, _keys_of(src, key)):
             d = (v // div) % base
             elements[counts[d]] = x

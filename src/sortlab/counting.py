@@ -6,9 +6,9 @@ asserted on.
 
 Every counted function (each sort, ``build`` and the ``Heap`` operations)
 takes an optional ``counters``. It tallies its work in local variables and,
-if it was given an :class:`OpCounters`, reports once when it ends: through
-:meth:`OpCounters.add` for counts and :meth:`OpCounters.note_peaks` for
-peaks. Without one it counts nothing.
+if it was given an :class:`OpCounters`, reports once when it ends: counts
+through :meth:`OpCounters.add` or by adding to the fields, and peaks through
+:meth:`OpCounters.note_peaks`. Without one it counts nothing.
 """
 
 from __future__ import annotations

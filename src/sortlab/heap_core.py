@@ -9,8 +9,8 @@ Every parent dominates its children: ``>=`` for a max-at-root heap, ``<=``
 for min-at-root. Slots at or beyond ``heap_size`` belong to the backing
 list but are unconstrained.
 
-All sifting runs on three hole-based kernels, each taking ``mx`` (True for a
-max-at-root heap) and comparing inline, ``(a > b) if mx else (a < b)``:
+Two hole-based kernels sift, each taking ``mx`` (True for a max-at-root
+heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 
 - ``_sift_down`` (``build``, ``Heap.sift_down``, ``Heap.remove_at``) is a
   bottom-up sift after Wegener (TCS 118, 1993) and McDiarmid & Reed
@@ -20,15 +20,18 @@ max-at-root heap) and comparing inline, ``(a > b) if mx else (a < b)``:
   the element into place. It leaves the same arrangement and makes the same
   writes as the classic top-down sift, and it writes nothing until every
   comparison is done, so a comparison that raises leaves the list unchanged.
-- ``_climb`` (``Heap.push``, ``Heap.remove_at``) lifts an element towards
-  the root.
-- ``_sift_leafward`` drains the extraction phase: after Wegener's
-  BOTTOM-UP-HEAPSORT, each extraction moves the root past the shrinking
-  heap boundary, walks the hole it leaves to a leaf along the dominant
-  child, and lets the displaced element climb back. ``uhs_sort`` runs every
-  extraction with one call; ``Heap.pop_root`` runs one.
+- ``_sift_leafward`` drains ``uhs_sort``'s extraction phase in one call:
+  after Wegener's BOTTOM-UP-HEAPSORT, each extraction moves the root past
+  the shrinking heap boundary, walks the hole it leaves to a leaf along the
+  dominant child, and lets the displaced element climb back.
 
-A kernel holds one element out of the list and moves a hole instead of
+The priority-queue operations run their own loops inline, so that each
+costs one call: ``Heap.push`` and ``Heap.remove_at`` climb, and
+``Heap.pop_root`` runs one leafward extraction. Each climb moves every
+ancestor it passes down a level as it goes; a comparison that raises moves
+them back, so a failed operation leaves the heap exactly as it was.
+
+Every sift holds one element out of the list and moves a hole instead of
 swapping pairs, so heap code reports no swaps: every write of an element
 into the backing list counts as one ``element_moves``.
 """
@@ -108,29 +111,6 @@ def _sift_down(a: list, n: int, hole: int, mx: bool) -> tuple[int, int]:
         moves += 1
     a[hole] = x
     return cmp, moves
-
-
-def _climb(a: list, hole: int, x, mx: bool) -> tuple[int, int]:
-    """Write x at ``hole`` or above it, past every ancestor it strictly dominates.
-
-    The path is searched before anything moves, so a comparison that raises
-    leaves every ancestor in place and x in the starting hole.
-    """
-    start = top = hole
-    try:
-        while top > 0:
-            p = (top - 1) >> 1
-            if not ((x > a[p]) if mx else (x < a[p])):
-                break
-            top = p
-        while hole > top:
-            p = (hole - 1) >> 1
-            a[hole] = a[p]
-            hole = p
-    finally:
-        a[hole] = x
-    levels = (start + 1).bit_length() - (hole + 1).bit_length()
-    return (levels + 1 if hole else levels), levels + 1
 
 
 def _sift_leafward(a: list, last: int, stop: int, mx: bool) -> tuple[int, int]:
@@ -226,62 +206,154 @@ class Heap:
     def push(self, x, counters: OpCounters | None = None) -> None:
         """Insert ``x`` into the first slack slot (appending one if none), climbing.
 
-        Every comparison happens before anything moves and ``heap_size``
-        grows only after the climb, so a comparison that raises leaves the
-        live heap exactly as it was.
+        x climbs past every ancestor it strictly dominates, each of which
+        moves down a level into the hole. ``heap_size`` grows only once x has
+        landed, and a comparison that raises moves the shifted ancestors back
+        up, so a failed push leaves the live heap exactly as it was.
         """
         a = self.elements
-        size = self.heap_size
+        size = hole = self.heap_size
         if size == len(a):
             a.append(None)  # a slot for the hole; the climb always fills it
-        cmp, moves = _climb(a, size, x, self._mx)
+        mx = self._mx
+        levels = 0
+        try:
+            while hole:
+                p = (hole - 1) >> 1
+                y = a[p]
+                if not ((x > y) if mx else (x < y)):
+                    break
+                a[hole] = y
+                hole = p
+                levels += 1
+        except BaseException:
+            _unclimb(a, size, hole)
+            raise
+        a[hole] = x
         self.heap_size = size + 1
         if counters is not None:
-            counters.add(comparisons=cmp, element_moves=moves)
+            counters.comparisons += levels + 1 if hole else levels
+            counters.element_moves += levels + 1
 
     def pop_root(self, counters: OpCounters | None = None):
         """Remove and return the dominating element.
 
-        The root moves to the last live slot, which leaves the heap, and the
-        element it displaces refills the root with the leafward sift.
+        The root moves to the last live slot, which leaves the heap. The hole
+        it leaves walks to a leaf along the dominant child (left wins ties),
+        with one comparison per level that has two children, and the element
+        displaced from the last slot climbs back from that leaf past every
+        ancestor it strictly dominates. A comparison that raises shifts the
+        path back down and puts the root and the displaced element back, so a
+        failed pop leaves the heap exactly as it was.
         """
-        if self.heap_size == 0:
+        size = self.heap_size
+        if size == 0:
             raise EmptyHeapError("pop_root on empty heap")
         a = self.elements
-        last = self.heap_size - 1
+        last = size - 1
+        root = a[0]
+        if last == 0:
+            self.heap_size = 0
+            return root
+        mx = self._mx
+        x = a[last]
+        a[last] = root
+        hole = 0
+        child = 1
+        pairs_end = last - 1  # child < pairs_end exactly when its right sibling is live
+        try:
+            while child < pairs_end:
+                if (a[child + 1] > a[child]) if mx else (a[child + 1] < a[child]):
+                    child += 1
+                a[hole] = a[child]
+                hole = child
+                child = 2 * child + 1
+            cmp = (hole + 1).bit_length() - 1
+            moves = cmp + 2  # the root's move, the descent and x's write
+            if child == pairs_end:
+                a[hole] = a[child]
+                hole = child
+                moves += 1
+            while hole:
+                p = (hole - 1) >> 1
+                y = a[p]
+                cmp += 1
+                if not ((x > y) if mx else (x < y)):
+                    break
+                a[hole] = y
+                hole = p
+                moves += 1
+        except BaseException:
+            while hole:  # the descent lifted the path a level; the climb undid its lower part
+                p = (hole - 1) >> 1
+                a[hole] = a[p]
+                hole = p
+            a[0] = root
+            a[last] = x
+            raise
+        a[hole] = x
         self.heap_size = last
-        if last > 0:
-            cmp, moves = _sift_leafward(a, last, last - 1, self._mx)
-            if counters is not None:
-                counters.add(comparisons=cmp, element_moves=moves)
-        return a[last]
+        if counters is not None:
+            counters.comparisons += cmp
+            counters.element_moves += moves
+        return root
 
     def remove_at(self, i: int, counters: OpCounters | None = None):
         """Remove and return the element at live index ``i``.
 
         The removed element moves to the last live slot, which leaves the
         heap, and the element it displaces climbs from ``i``, or sifts down
-        if it did not rise.
+        if it did not rise. A comparison that raises moves every element
+        back, so a failed removal leaves the heap exactly as it was.
         """
-        if not 0 <= i < self.heap_size:
-            raise HeapIndexError(f"index {i} outside live heap of size {self.heap_size}")
+        size = self.heap_size
+        if not 0 <= i < size:
+            raise HeapIndexError(f"index {i} outside live heap of size {size}")
         a = self.elements
-        last = self.heap_size - 1
+        last = size - 1
         removed = a[i]
-        self.heap_size = last
         if i == last:
+            self.heap_size = last
             return removed
         x = a[last]
         a[last] = removed
         mx = self._mx
-        cmp, moves = _climb(a, i, x, mx)
-        if moves == 1:  # x was written at i without rising
-            c, m = _sift_down(a, last, i, mx)
-            cmp += c
-            moves += m
+        hole = i
+        levels = 0
+        try:
+            while hole:
+                p = (hole - 1) >> 1
+                y = a[p]
+                if not ((x > y) if mx else (x < y)):
+                    break
+                a[hole] = y
+                hole = p
+                levels += 1
+            a[hole] = x
+            cmp = levels + 1 if hole else levels
+            moves = levels + 2  # x's write and the removed element's move
+            if not levels:
+                c, m = _sift_down(a, last, i, mx)
+                cmp += c
+                moves += m
+        except BaseException:
+            _unclimb(a, i, hole)
+            a[i] = removed
+            a[last] = x
+            raise
+        self.heap_size = last
         if counters is not None:
-            counters.add(comparisons=cmp, element_moves=moves + 1)
+            counters.comparisons += cmp
+            counters.element_moves += moves
         return removed
+
+
+def _unclimb(a: list, start: int, hole: int) -> None:
+    """Undo a climb from ``start`` stopped at ``hole``: lift each shifted ancestor back."""
+    y = a[start]
+    while start != hole:
+        start = (start - 1) >> 1
+        a[start], y = y, a[start]
 
 
 def build(

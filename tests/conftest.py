@@ -2,8 +2,11 @@
 
 The acceptance tests funnel their verdicts through `record_criterion` so a
 plain `pytest` run ends with one visible PASS/FAIL line per criterion even
-under output capture.
+under output capture. The kernel tests compare comparison logs through
+`Recorded`.
 """
+
+import operator
 
 import pytest
 
@@ -24,3 +27,31 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+class Recorded:
+    """Orders by key alone, and logs each comparison it makes as
+    (operator, left operand's origin, right operand's origin)."""
+
+    __slots__ = ("key", "origin", "log")
+
+    def __init__(self, key, origin, log):
+        self.key = key
+        self.origin = origin
+        self.log = log
+
+    def _compare(self, op, other):
+        self.log.append((op.__name__, self.origin, other.origin))
+        return op(self.key, other.key)
+
+    def __lt__(self, other):
+        return self._compare(operator.lt, other)
+
+    def __le__(self, other):
+        return self._compare(operator.le, other)
+
+    def __gt__(self, other):
+        return self._compare(operator.gt, other)
+
+    def __ge__(self, other):
+        return self._compare(operator.ge, other)

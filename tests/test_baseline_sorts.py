@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Recorded
+
 from sortlab.baseline_sorts import (
     AlgorithmId,
     KeyDomainError,
@@ -508,34 +510,6 @@ def test_kernels_match_operator_reference(order):
             assert cg.as_dict() == cw.as_dict(), (sort, keys)
 
 
-class _Recorded:
-    """Orders by key alone, and logs each comparison it makes as
-    (operator, left operand's origin, right operand's origin)."""
-
-    __slots__ = ("key", "origin", "log")
-
-    def __init__(self, key, origin, log):
-        self.key = key
-        self.origin = origin
-        self.log = log
-
-    def _compare(self, op, other):
-        self.log.append((op.__name__, self.origin, other.origin))
-        return op(self.key, other.key)
-
-    def __lt__(self, other):
-        return self._compare(operator.lt, other)
-
-    def __le__(self, other):
-        return self._compare(operator.le, other)
-
-    def __gt__(self, other):
-        return self._compare(operator.gt, other)
-
-    def __ge__(self, other):
-        return self._compare(operator.ge, other)
-
-
 @pytest.mark.parametrize("order", list(SortOrder))
 def test_kernels_make_the_reference_comparisons(order):
     # equal totals can hide a kernel that compares other operands, with
@@ -555,8 +529,8 @@ def test_kernels_make_the_reference_comparisons(order):
             keys.sort(reverse=rng.random() < 0.5)
         for sort, ref in pairs:
             want, got = [], []
-            ref([_Recorded(k, i, want) for i, k in enumerate(keys)], order, OpCounters())
-            sort([_Recorded(k, i, got) for i, k in enumerate(keys)], order, OpCounters())
+            ref([Recorded(k, i, want) for i, k in enumerate(keys)], order, OpCounters())
+            sort([Recorded(k, i, got) for i, k in enumerate(keys)], order, OpCounters())
             assert got == want, (sort, keys)
 
 
@@ -570,8 +544,8 @@ def test_seeded_pivots_are_the_randint_stream(n):
     for seed in (0, 1, 2):
         for order in SortOrder:
             want, got = [], []
-            _ref_quick([_Recorded(k, i, want) for i, k in enumerate(keys)], order,
+            _ref_quick([Recorded(k, i, want) for i, k in enumerate(keys)], order,
                        OpCounters(), PivotRule.RANDOM_SEEDED, seed)
-            quicksort([_Recorded(k, i, got) for i, k in enumerate(keys)], order,
+            quicksort([Recorded(k, i, got) for i, k in enumerate(keys)], order,
                       pivot=PivotRule.RANDOM_SEEDED, seed=seed)
             assert got == want, (n, seed, order)

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Recorded
+
 from sortlab.counting import OpCounters
 from sortlab.heap_core import (
     EmptyHeapError,
     Heap,
     HeapIndexError,
     HeapOrder,
+    _sift_down,
     build,
     is_heap,
 )
@@ -357,6 +360,119 @@ class TestHeapLifecycle:
         assert [h.pop_root() for _ in range(len(h))] == sorted(xs)
 
 
+class _RefHeap:
+    """The heap operations as plain loops, counting each comparison and write
+    where it happens: a climb that searches the path before anything moves,
+    and pop_root's extraction as the leafward sift runs it. ``remove_at``
+    sifts down with the library kernel, which the tests above pin to the
+    top-down reference."""
+
+    def __init__(self, order):
+        self.a = []
+        self.size = 0
+        self.mx = order is HeapOrder.MAX_AT_ROOT
+        self.gt = operator.gt if self.mx else operator.lt
+
+    def _climb(self, hole, x):
+        a = self.a
+        top = hole
+        cmp = 0
+        while top > 0:
+            p = (top - 1) // 2
+            cmp += 1
+            if not self.gt(x, a[p]):
+                break
+            top = p
+        moves = 1
+        while hole > top:
+            p = (hole - 1) // 2
+            a[hole] = a[p]
+            moves += 1
+            hole = p
+        a[hole] = x
+        return cmp, moves
+
+    def push(self, x):
+        if self.size == len(self.a):
+            self.a.append(None)
+        counts = self._climb(self.size, x)
+        self.size += 1
+        return None, counts
+
+    def pop_root(self):
+        a = self.a
+        last = self.size - 1
+        self.size = last
+        if last == 0:
+            return a[0], (0, 0)
+        x = a[last]
+        a[last] = a[0]
+        cmp, moves = 0, 1
+        hole, child = 0, 1
+        while child < last:  # down the dominant child; left wins ties
+            if child + 1 < last:
+                cmp += 1
+                if self.gt(a[child + 1], a[child]):
+                    child += 1
+            a[hole] = a[child]
+            moves += 1
+            hole, child = child, 2 * child + 1
+        c, m = self._climb(hole, x)
+        return a[last], (cmp + c, moves + m)
+
+    def remove_at(self, i):
+        a = self.a
+        last = self.size - 1
+        removed = a[i]
+        self.size = last
+        if i == last:
+            return removed, (0, 0)
+        x = a[last]
+        a[last] = removed
+        cmp, moves = self._climb(i, x)
+        if moves == 1:  # x did not rise
+            c, m = _sift_down(a, last, i, self.mx)
+            cmp += c
+            moves += m
+        return removed, (cmp, moves + 1)
+
+
+def _origins(elements):
+    return [getattr(e, "origin", None) for e in elements]
+
+
+@pytest.mark.parametrize("order", list(HeapOrder))
+def test_heap_operations_match_reference_loops(order):
+    # a seeded stream that grows the heap to a few hundred keys, then drains
+    # it to empty and back, over keys with many ties; after every operation
+    # the results, counts, backing lists (slack included) and comparison
+    # logs must agree
+    rng = random.Random(31)
+    want, got = [], []
+    ref, heap = _RefHeap(order), Heap(order=order)
+    for step in range(3000):
+        size = ref.size
+        r = rng.random()
+        if not size or r < (0.7 if step < 1200 else 0.4):
+            key = rng.randint(0, 15)
+            op, args = "push", ((Recorded(key, step, want),), (Recorded(key, step, got),))
+        elif r < 0.8:
+            op, args = "pop_root", ((), ())
+        else:
+            i = rng.randrange(size)
+            op, args = "remove_at", ((i,), (i,))
+        expect, expect_counts = getattr(ref, op)(*args[0])
+        c = OpCounters()
+        result = getattr(heap, op)(*args[1], c)
+        assert _origins([result]) == _origins([expect]), (step, op)
+        assert (c.comparisons, c.element_moves) == expect_counts, (step, op)
+        assert c.swaps == 0
+        assert len(heap) == ref.size, (step, op)
+        assert _origins(heap.elements) == _origins(ref.a), (step, op)
+    assert got == want
+    assert len(want) > 10_000
+
+
 class Fuse:
     """Orders by ``key`` until a shared comparison budget runs out, then raises."""
 
@@ -469,3 +585,45 @@ class TestExceptionSafety:
                 raised += 1
                 assert all(x is y for x, y in zip(a, items)), spend
         assert 0 < raised < 12
+
+    @pytest.mark.parametrize("order", list(HeapOrder))
+    @pytest.mark.parametrize("op", ["push", "pop_root", "remove_at"])
+    def test_failed_operation_leaves_heap_unchanged(self, op, order):
+        # a comparison that raises anywhere in a run of operations (in a
+        # descent, a climb that has already moved ancestors, or a sift down)
+        # leaves each slot holding the object it held before the failed call;
+        # only a push's slack slot is free to hold anything. Every key under
+        # the root's right child dominates every key under its left one, so
+        # an element refilling a slot on the left from the right half of the
+        # last level climbs several levels.
+        rng = random.Random(14)
+        sign = 1 if order is HeapOrder.MAX_AT_ROOT else -1
+        keys = [sign * 99]
+        for j in range(1, 63):
+            while j > 2:  # up to the root's child above j
+                j = (j - 1) >> 1
+            keys.append(sign * (rng.randint(0, 9) if j == 1 else rng.randint(50, 59)))
+        build(keys, order)
+        raised = 0
+        for spend in range(600):
+            budget = [spend]
+            items = [Fuse(k, budget) for k in keys]
+            h = Heap(items[:], order)
+            if op == "push":
+                h.heap_size = 16  # the last pushes append slots
+            picks = random.Random(spend)
+            try:
+                for _ in range(40):
+                    before, size = h.elements[:], len(h)
+                    if op == "push":
+                        h.push(Fuse(sign * picks.randint(0, 99), budget))
+                    elif op == "pop_root":
+                        h.pop_root()
+                    else:
+                        h.remove_at(picks.randrange(size))
+            except RuntimeError:
+                raised += 1
+                assert len(h) == size, spend
+                kept = size if op == "push" else len(before)
+                assert all(map(operator.is_, h.elements[:kept], before[:kept])), spend
+        assert 0 < raised < 600  # the largest budgets let every operation finish
