@@ -48,7 +48,6 @@ from .heap_core import (
 from .instrumentation import (
     BuildCostRow,
     StabilityVerdict,
-    TaggedElement,
     build_cost_audit,
     counted_sort,
     stability_check,
@@ -77,7 +76,6 @@ __all__ = [
     "SortOrder",
     "StabilityVerdict",
     "TableReport",
-    "TaggedElement",
     "bubble_sort",
     "bucket_sort",
     "build",

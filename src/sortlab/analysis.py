@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .baseline_sorts import AlgorithmId, PivotRule
 from .counting import OpCounters
@@ -237,16 +237,52 @@ class StabilityRow:
         return self.verdict.stable == self.expected_stable
 
 
-def _cmp_cost(c: OpCounters) -> int:
-    return c.comparisons
+def _clustered(n: int, seed: int) -> list[float]:
+    # every key inside [0, 1/n): the whole array lands in one bucket
+    rng = random.Random(seed)
+    return [rng.random() / n for _ in range(n)]
 
 
-def _move_cost(c: OpCounters) -> int:
-    return c.element_moves
+class _TimeCase(NamedTuple):
+    """One fit of `time_table`: an algorithm's counts on one kind of input."""
+
+    algorithm: AlgorithmId
+    cases: tuple[str, ...]  # one table row per name, all sharing this fit
+    inputs: str
+    expected: Complexity
+    sizes: list[int]
+    source: Callable[[int, int], list]  # (n, seed) -> the keys to sort
+    cost: tuple[str, ...] = ("comparisons",)  # the counters summed into the fitted cost
+    pivot: PivotRule = PivotRule.RANDOM_SEEDED
 
 
-def _mixed_cost(c: OpCounters) -> int:
-    return c.comparisons + c.element_moves
+# (n, seed) sources that call `generate_input` by name on every draw
+_rnd, _rev, _srt, _uni = (
+    lambda n, s, d=d: generate_input(d, n, s)
+    for d in (Distribution.RANDOM_SEEDED, Distribution.REVERSED,
+              Distribution.SORTED, Distribution.UNIFORM01)
+)
+_A, _C = AlgorithmId, Complexity
+_MIXED = ("comparisons", "element_moves")
+
+# A case's 1-based position seeds its inputs, so a new case goes at the end.
+_TIME_CASES = (
+    _TimeCase(_A.INSERTION, ("worst",), "reversed", _C.QUADRATIC, QUAD_SIZES, _rev),
+    _TimeCase(_A.INSERTION, ("average",), "random", _C.QUADRATIC, QUAD_SIZES, _rnd),
+    _TimeCase(_A.MERGE, ("worst", "average"), "random", _C.LINEARITHMIC, FAST_SIZES, _rnd),
+    _TimeCase(_A.QUICK, ("worst",), "sorted, last-element pivot", _C.QUADRATIC, QUAD_SIZES,
+              _srt, pivot=PivotRule.LAST_ELEMENT),
+    _TimeCase(_A.QUICK, ("expected",), "random, seeded pivot", _C.LINEARITHMIC, FAST_SIZES,
+              _rnd),
+    _TimeCase(_A.BUCKET, ("worst",), "single-bucket cluster", _C.QUADRATIC, QUAD_SIZES,
+              _clustered, _MIXED),
+    _TimeCase(_A.BUCKET, ("average",), "uniform01", _C.LINEAR, FAST_SIZES, _uni, _MIXED),
+    _TimeCase(_A.RADIX, ("all",), "random keys < 2^16", _C.LINEAR, FAST_SIZES,
+              lambda n, s: draws_below(random.Random(s), 65536, n), ("element_moves",)),
+    _TimeCase(_A.BUBBLE, ("worst",), "reversed", _C.QUADRATIC, QUAD_SIZES, _rev),
+    _TimeCase(_A.BUBBLE, ("average",), "random", _C.QUADRATIC, QUAD_SIZES, _rnd),
+    _TimeCase(_A.UHS, ("worst", "average"), "random", _C.LINEARITHMIC, FAST_SIZES, _rnd),
+)
 
 
 def time_table(seed: int = 0) -> list[TimeRow]:
@@ -257,69 +293,15 @@ def time_table(seed: int = 0) -> list[TimeRow]:
     two and the move total is exactly 2n -- linear once d and k are fixed.
     """
     rows: list[TimeRow] = []
-    tag = 0
-
-    def fit(
-        algorithm: AlgorithmId,
-        sizes: Sequence[int],
-        gen: Callable[[int, int], list],
-        cost: Callable[[OpCounters], int] = _cmp_cost,
-        **kw,
-    ) -> GrowthClass:
-        nonlocal tag
-        tag += 1
+    for tag, case in enumerate(_TIME_CASES, 1):
         pts = []
-        for n in sizes:
+        for n in case.sizes:
             sub = (seed * 1000003 + tag) * 1000003 + n
-            _, c = counted_sort(algorithm, gen(n, sub), seed=sub, **kw)
-            pts.append((n, cost(c)))
-        return growth_fit(pts)
-
-    def rnd(n, s):
-        return generate_input(Distribution.RANDOM_SEEDED, n, s)
-
-    def rev(n, s):
-        return generate_input(Distribution.REVERSED, n, s)
-
-    def srt(n, s):
-        return generate_input(Distribution.SORTED, n, s)
-
-    def uni(n, s):
-        return generate_input(Distribution.UNIFORM01, n, s)
-
-    def clustered(n, s):
-        # every key inside [0, 1/n): the whole array lands in one bucket
-        rng = random.Random(s)
-        return [rng.random() / n for _ in range(n)]
-
-    def radix_keys(n, s):
-        return draws_below(random.Random(s), 65536, n)
-
-    A, C = AlgorithmId, Complexity
-    rows.append(TimeRow(A.INSERTION, "worst", "reversed", C.QUADRATIC,
-                        fit(A.INSERTION, QUAD_SIZES, rev)))
-    rows.append(TimeRow(A.INSERTION, "average", "random", C.QUADRATIC,
-                        fit(A.INSERTION, QUAD_SIZES, rnd)))
-    merge_fit = fit(A.MERGE, FAST_SIZES, rnd)
-    rows.append(TimeRow(A.MERGE, "worst", "random", C.LINEARITHMIC, merge_fit))
-    rows.append(TimeRow(A.MERGE, "average", "random", C.LINEARITHMIC, merge_fit))
-    rows.append(TimeRow(A.QUICK, "worst", "sorted, last-element pivot", C.QUADRATIC,
-                        fit(A.QUICK, QUAD_SIZES, srt, pivot=PivotRule.LAST_ELEMENT)))
-    rows.append(TimeRow(A.QUICK, "expected", "random, seeded pivot", C.LINEARITHMIC,
-                        fit(A.QUICK, FAST_SIZES, rnd, pivot=PivotRule.RANDOM_SEEDED)))
-    rows.append(TimeRow(A.BUCKET, "worst", "single-bucket cluster", C.QUADRATIC,
-                        fit(A.BUCKET, QUAD_SIZES, clustered, cost=_mixed_cost)))
-    rows.append(TimeRow(A.BUCKET, "average", "uniform01", C.LINEAR,
-                        fit(A.BUCKET, FAST_SIZES, uni, cost=_mixed_cost)))
-    rows.append(TimeRow(A.RADIX, "all", "random keys < 2^16", C.LINEAR,
-                        fit(A.RADIX, FAST_SIZES, radix_keys, cost=_move_cost)))
-    rows.append(TimeRow(A.BUBBLE, "worst", "reversed", C.QUADRATIC,
-                        fit(A.BUBBLE, QUAD_SIZES, rev)))
-    rows.append(TimeRow(A.BUBBLE, "average", "random", C.QUADRATIC,
-                        fit(A.BUBBLE, QUAD_SIZES, rnd)))
-    uhs_fit = fit(A.UHS, FAST_SIZES, rnd)
-    rows.append(TimeRow(A.UHS, "worst", "random", C.LINEARITHMIC, uhs_fit))
-    rows.append(TimeRow(A.UHS, "average", "random", C.LINEARITHMIC, uhs_fit))
+            _, c = counted_sort(case.algorithm, case.source(n, sub), seed=sub, pivot=case.pivot)
+            pts.append((n, sum(getattr(c, name) for name in case.cost)))
+        fitted = growth_fit(pts)
+        rows.extend(TimeRow(case.algorithm, name, case.inputs, case.expected, fitted)
+                    for name in case.cases)
     return rows
 
 

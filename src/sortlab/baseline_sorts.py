@@ -12,7 +12,8 @@ which shift or exchange one element at a time. Quicksort's partition loop
 also has one copy per order; merge sort branches on the order at each
 comparison, which timed the same as separate copies. Elements are compared
 only through their own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements
-(key + payload) travel through unchanged for stability experiments.
+(key + payload) travel through the comparison sorts unchanged; bucket and
+radix sort read each element as its own numeric key.
 """
 
 from __future__ import annotations
@@ -332,36 +333,29 @@ def quicksort(
         counters.note_peaks(recursion=peak)
 
 
-def _keys_of(elements: list, key: Callable | None):
-    """The sort keys of ``elements``: the elements themselves when ``key`` is None."""
-    return elements if key is None else map(key, elements)
-
-
 def bucket_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
-    key: Callable | None = None,
 ) -> None:
     """Stable bucket sort for keys in [0, 1); linear on uniformly spread keys.
 
-    Elements scatter into n buckets by key value, each bucket is
-    insertion-sorted, and buckets are concatenated back. ``key`` extracts
-    the numeric key when elements are key/payload pairs. Every bucket is
+    Elements scatter into n buckets by value, each bucket is
+    insertion-sorted, and buckets are concatenated back. Every bucket is
     sorted before any is written back, so a comparison that raises leaves
     ``elements`` untouched.
     """
     n = len(elements)
     if n == 0:
         return
-    for v in _keys_of(elements, key):
+    for v in elements:
         if not 0 <= v < 1:
             raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
     asc = order is SortOrder.ASCENDING
     buckets: list[list] = [[] for _ in range(n)]
     top = n - 1
-    for x, v in zip(elements, _keys_of(elements, key)):
-        idx = int(v * n)
+    for x in elements:
+        idx = int(x * n)
         buckets[idx if idx < top else top].append(x)
     cmp = 0
     moves = 2 * n  # each element's scatter and its write back
@@ -380,7 +374,6 @@ def radix_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
-    key: Callable | None = None,
 ) -> None:
     """Stable LSD radix sort for non-negative integer keys, one byte per pass.
 
@@ -395,7 +388,7 @@ def radix_sort(
     if n == 0:
         return
     top = 0
-    for v in _keys_of(elements, key):
+    for v in elements:
         if not isinstance(v, int):
             raise KeyDomainError(f"radix sort requires integer keys, got {v!r}")
         if v < 0:
@@ -411,7 +404,7 @@ def radix_sort(
         src = elements[:]  # staging mirror; same positions, not a move
         counts = [0] * base
         div = base**p
-        for v in _keys_of(src, key):
+        for v in src:
             counts[(v // div) % base] += 1
         # Tallies become each digit's first slot, past the keys of every digit
         # placed before it: the smaller ones ascending, the larger descending.
@@ -419,8 +412,8 @@ def radix_sort(
             counts = list(accumulate(counts[:-1], initial=0))
         else:  # n minus the keys whose digit is d or smaller
             counts = list(map(n.__sub__, accumulate(counts)))
-        for x, v in zip(src, _keys_of(src, key)):
-            d = (v // div) % base
+        for x in src:
+            d = (x // div) % base
             elements[counts[d]] = x
             counts[d] += 1
         moves += n

@@ -113,19 +113,20 @@ def _sift_down(a: list, n: int, hole: int, mx: bool) -> tuple[int, int]:
     return cmp, moves
 
 
-def _sift_leafward(a: list, last: int, stop: int, mx: bool) -> tuple[int, int]:
-    """Extract roots into slots ``last`` down to ``stop + 1``, refilling bottom-up.
+def _sift_leafward(a: list, mx: bool) -> tuple[int, int]:
+    """Drain the whole heap ``a`` into sorted order, refilling the root bottom-up.
 
-    Each extraction moves the root of a[0:end+1] to slot ``end`` and holds
-    the element it displaced while the hole left at the root walks to a leaf
-    of a[0:end] along the dominant child (left wins ties), with one
-    comparison per level that has two children; a lone left child at the
-    bottom is taken without one. The held element then climbs back from that
-    leaf past every ancestor it strictly dominates. Descent costs follow from
-    the leaf depth, so the descent loop counts nothing.
+    For ``end`` from ``len(a) - 1`` down to 1, the root of a[0:end+1] moves
+    to slot ``end``, and the element it displaced is held while the hole left
+    at the root walks to a leaf of a[0:end] along the dominant child (left
+    wins ties), with one comparison per level that has two children; a lone
+    left child at the bottom is taken without one. The held element then
+    climbs back from that leaf past every ancestor it strictly dominates.
+    Descent costs follow from the leaf depth, so the descent loop counts
+    nothing.
     """
     cmp = moves = 0
-    for end in range(last, stop, -1):
+    for end in range(len(a) - 1, 0, -1):
         x = a[end]
         a[end] = a[0]
         hole = 0

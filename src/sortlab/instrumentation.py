@@ -3,11 +3,12 @@
 `SPECS` is the one table of what each algorithm claims. `counted_sort` is the
 single entry point the benchmarks and the CLI use to run any algorithm with a
 fresh operation ledger. `sort_fault` is the one payload-exact oracle: it sorts
-key/origin pairs and names how the result differs from Python's stable
-``sorted``. `stability_check` drives it to hunt for the smallest reordering
-witness an algorithm admits, and `verify`'s differential check drives it in
-both orders. `build_cost_audit` confirms the linear bound on bottom-up heap
-construction. `draws_below` draws seeded integer keys in bulk.
+int or float keys, each tagged by its identity, and names how the result
+differs from Python's stable ``sorted``. `stability_check` drives it to hunt
+for the smallest reordering witness an algorithm admits, and `verify`'s
+differential check drives it in both orders. `build_cost_audit` confirms the
+linear bound on bottom-up heap construction. `draws_below` draws seeded
+integer keys in bulk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter, is_
+from operator import is_
 from typing import Callable, NamedTuple, Sequence
 
 # The sort functions are module attributes that `counted_sort` reaches by name.
@@ -41,7 +42,6 @@ __all__ = [
     "KeyDomain",
     "AlgorithmSpec",
     "SPECS",
-    "TaggedElement",
     "StabilityVerdict",
     "BuildCostRow",
     "counted_sort",
@@ -86,9 +86,9 @@ SPECS: dict[AlgorithmId, AlgorithmSpec] = {
     AlgorithmId.QUICK: AlgorithmSpec(
         "quicksort", False, _ANY, ("pivot", "seed"), "O(n log n)", lambda n: 0),
     AlgorithmId.BUCKET: AlgorithmSpec(
-        "bucket_sort", True, _UNIT, ("key",), "O(n)", lambda n: 2 * n),
+        "bucket_sort", True, _UNIT, (), "O(n)", lambda n: 2 * n),
     AlgorithmId.RADIX: AlgorithmSpec(
-        "radix_sort", True, _NAT, ("key",), "O(n+k)", lambda n: n + RADIX_BASE),
+        "radix_sort", True, _NAT, (), "O(n+k)", lambda n: n + RADIX_BASE),
     AlgorithmId.BUBBLE: AlgorithmSpec("bubble_sort", True, _ANY, (), "O(1)", lambda n: 0),
     AlgorithmId.UHS: AlgorithmSpec("uhs_sort", False, _ANY, (), "O(1)", lambda n: 0),
 }
@@ -114,39 +114,6 @@ def draws_below(rng: random.Random, span: int, count: int) -> list[int]:
             r = bits(k)
         out.append(r)
     return out
-
-
-class TaggedElement:
-    """A sort key plus the index it started at; orders by key alone.
-
-    Sorting a list of these reveals whether equal keys kept their original
-    relative order -- the payload rides along without influencing any
-    comparison.
-    """
-
-    __slots__ = ("key", "origin")
-
-    def __init__(self, key, origin: int):
-        self.key = key
-        self.origin = origin
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
-
-    def __ge__(self, other):
-        return self.key >= other.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __repr__(self):
-        return f"<{self.key}:{self.origin}>"
 
 
 @dataclass(frozen=True)
@@ -179,26 +146,20 @@ def counted_sort(
     *,
     seed: int = 0,
     pivot: PivotRule = PivotRule.RANDOM_SEEDED,
-    key: Callable | None = None,
 ) -> tuple[list, OpCounters]:
     """Sort ``elements`` in place with ``algorithm`` under a fresh counter set.
 
     Returns the (mutated) list and the counters. Only the keywords in the
-    algorithm's ``SPECS`` options reach its sort, so ``key`` is honored only
-    by the distribution sorts; the comparison sorts order whole elements.
+    algorithm's ``SPECS`` options reach its sort, so ``seed`` and ``pivot``
+    matter to quicksort alone.
     """
     spec = SPECS.get(algorithm) if isinstance(algorithm, AlgorithmId) else None
     if spec is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if key is not None and "key" not in spec.options:
-        raise ValueError(f"{algorithm.value} does not take a key function")
-    given = dict(seed=seed, pivot=pivot, key=key)
+    given = dict(seed=seed, pivot=pivot)
     counters = OpCounters()
     globals()[spec.sort](elements, order, counters, **{k: given[k] for k in spec.options})
     return elements, counters
-
-
-_tagged_key = attrgetter("key")
 
 
 class _IntTag(int):
@@ -224,22 +185,21 @@ def sort_fault(
     Returns None when every element lands exactly where ``sorted`` puts it,
     "unstable" when the output is a permutation of the input with the right
     keys in the right order but some equal keys changed places, and
-    "missorted" for anything else. When every key is a plain int, or every
-    key a plain float, each tag is a new instance of a subclass of that type,
-    so it compares in C and is its own sort key; any other keys ride in
-    `TaggedElement`. Either way a tag is known by its identity alone, so an
-    equal key written back in its place is not mistaken for it.
+    "missorted" for anything else. The keys must be all plain ints or all
+    plain floats (an empty list passes as ints); anything else, bools and
+    mixed int and float keys included, raises TypeError. Each tag is a new
+    instance of a subclass of the keys' type, so it compares in C, is its own
+    sort key, and is known by its identity alone: an equal key written back
+    in its place is not mistaken for it.
     """
-    kinds = set(map(type, keys))
+    kinds = set(map(type, keys)) or {int}
     tag = _C_TAGS.get(kinds.pop()) if len(kinds) == 1 else None
-    if tag is not None:
-        tags, key = list(map(tag, keys)), None
-    else:
-        tags, key = [TaggedElement(k, i) for i, k in enumerate(keys)], _tagged_key
-    want = sorted(tags, key=key, reverse=order is SortOrder.DESCENDING)
+    if tag is None:
+        raise TypeError("sort_fault takes all-int or all-float keys")
+    tags = list(map(tag, keys))
+    want = sorted(tags, reverse=order is SortOrder.DESCENDING)
     arr = tags[:]
-    counted_sort(algorithm, arr, order, seed=seed, pivot=pivot,
-                 key=key if "key" in SPECS[algorithm].options else None)
+    counted_sort(algorithm, arr, order, seed=seed, pivot=pivot)
     if len(arr) == len(want) and all(map(is_, arr, want)):
         return None
     # every tag is alive in `tags`, so no foreign object in `arr` shares an id with one

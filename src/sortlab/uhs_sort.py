@@ -51,6 +51,6 @@ def uhs_sort(
     if n <= 1:
         return
     heap = build(elements, heap_order_for(order), counters)
-    cmp, moves = _sift_leafward(elements, n - 1, 0, heap._mx)
+    cmp, moves = _sift_leafward(elements, heap._mx)
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)

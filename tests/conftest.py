@@ -2,8 +2,8 @@
 
 The acceptance tests funnel their verdicts through `record_criterion` so a
 plain `pytest` run ends with one visible PASS/FAIL line per criterion even
-under output capture. The kernel tests compare comparison logs through
-`Recorded`.
+under output capture. The kernel tests follow equal keys through
+`TaggedElement` and compare comparison logs through `Recorded`.
 """
 
 import operator
@@ -55,3 +55,36 @@ class Recorded:
 
     def __ge__(self, other):
         return self._compare(operator.ge, other)
+
+
+class TaggedElement:
+    """A sort key plus the index it started at; orders by key alone.
+
+    Sorting a list of these reveals whether equal keys kept their original
+    relative order -- the payload rides along without influencing any
+    comparison.
+    """
+
+    __slots__ = ("key", "origin")
+
+    def __init__(self, key, origin: int):
+        self.key = key
+        self.origin = origin
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __le__(self, other):
+        return self.key <= other.key
+
+    def __gt__(self, other):
+        return self.key > other.key
+
+    def __ge__(self, other):
+        return self.key >= other.key
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __repr__(self):
+        return f"<{self.key}:{self.origin}>"

@@ -219,6 +219,11 @@ class TestTables:
         assert "overall: OK" in text
         assert "MISMATCH" not in text
 
+    def test_as_text_is_pinned(self, report):
+        # every row, fit, budget and witness of the seed-0 tables, byte for byte
+        digest = hashlib.sha256(report.as_text().encode()).hexdigest()
+        assert digest == "9240ccdca4fd1ff252725d8fb2e845cf60be2a166f69c99ccf81633b54ab39bd"
+
     def test_size_ladders(self):
         assert FAST_SIZES[0] == 1024 and FAST_SIZES[-1] == 65536
         assert QUAD_SIZES == [256, 512, 1024, 2048]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Recorded
+from conftest import Recorded, TaggedElement
 
 from sortlab.counting import OpCounters
 from sortlab.heap_core import (
@@ -27,7 +27,6 @@ from sortlab.baseline_sorts import (
     merge_sort,
     quicksort,
 )
-from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import SortOrder, uhs_sort
 
 
@@ -502,8 +501,32 @@ class Fuse:
         return self.key <= other.key
 
 
-def _bucket_sort_by_key(a, order):
-    bucket_sort(a, order, key=operator.attrgetter("key"))
+class FloatFuse(float):
+    """A float key that spends a shared budget like `Fuse`, for bucket sort,
+    which reads each element as its own key."""
+
+    def __new__(cls, key, budget: list):
+        self = super().__new__(cls, key)
+        self.budget = budget
+        return self
+
+    _spend = Fuse._spend
+
+    def __gt__(self, other):
+        self._spend()
+        return float.__gt__(self, other)
+
+    def __lt__(self, other):
+        self._spend()
+        return float.__lt__(self, other)
+
+    def __ge__(self, other):
+        self._spend()
+        return float.__ge__(self, other)
+
+    def __le__(self, other):
+        self._spend()
+        return float.__le__(self, other)
 
 
 class TestExceptionSafety:
@@ -533,15 +556,16 @@ class TestExceptionSafety:
 
     @pytest.mark.parametrize("order", list(SortOrder))
     @pytest.mark.parametrize(
-        "sort", [insertion_sort, bubble_sort, merge_sort, quicksort, _bucket_sort_by_key],
+        "sort", [insertion_sort, bubble_sort, merge_sort, quicksort, bucket_sort],
         ids=["insertion", "bubble", "merge", "quick", "bucket"])
     def test_raising_comparison_leaves_baseline_sorts_a_permutation(self, sort, order):
         rng = random.Random(12)
-        unit = sort is _bucket_sort_by_key  # bucket keys must lie in [0, 1)
+        unit = sort is bucket_sort  # bucket keys must be numbers in [0, 1)
+        fuse = FloatFuse if unit else Fuse
         raised = 0
         for spend in range(200):
             budget = [spend]
-            items = [Fuse(rng.randint(0, 9) / 10 if unit else rng.randint(0, 9), budget)
+            items = [fuse(rng.randint(0, 9) / 10 if unit else rng.randint(0, 9), budget)
                      for _ in range(24)]
             a = items[:]
             try:
@@ -551,7 +575,9 @@ class TestExceptionSafety:
                 if unit:  # every bucket is sorted before any is written back
                     assert all(map(operator.is_, a, items)), spend
             assert Counter(a) == Counter(items), spend
-        assert raised > 0
+        # bucket sort's range check spends two comparisons per key before
+        # any bucket is sorted; more raises than that reach the insertion loop
+        assert raised > (2 * 24 if unit else 0)
 
     def test_failed_push_leaves_heap_unchanged(self):
         h = Heap([3, 1])

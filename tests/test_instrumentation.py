@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TaggedElement
+
 import sortlab.instrumentation as instrumentation
 from sortlab.baseline_sorts import AlgorithmId, PivotRule, bucket_sort, merge_sort
 from sortlab.instrumentation import (
@@ -13,7 +15,6 @@ from sortlab.instrumentation import (
     KeyDomain,
     OpCounters,
     StabilityVerdict,
-    TaggedElement,
     build_cost_audit,
     counted_sort,
     draws_below,
@@ -133,15 +134,6 @@ class TestCountedSort:
         counted_sort(AlgorithmId.UHS, a, SortOrder.DESCENDING)
         assert a == [3, 2, 1]
 
-    def test_key_rejected_for_comparison_sorts(self):
-        with pytest.raises(ValueError):
-            counted_sort(AlgorithmId.INSERTION, [2, 1], key=lambda x: x)
-
-    def test_key_honored_for_distribution_sorts(self):
-        pairs = [TaggedElement(2, 0), TaggedElement(0, 1), TaggedElement(1, 2)]
-        counted_sort(AlgorithmId.RADIX, pairs, key=lambda t: t.key)
-        assert [t.key for t in pairs] == [0, 1, 2]
-
 
 class TestStabilityCheck:
     @pytest.mark.parametrize("algorithm", list(AlgorithmId))
@@ -219,15 +211,23 @@ class TestSortFault:
         fault = sort_fault(AlgorithmId.MERGE, [2, 0, 1], order, 0, PivotRule.LAST_ELEMENT)
         assert fault == "missorted"
 
+    @pytest.mark.parametrize("keys", [["c", "a"], [1, 0.5], [True, False]],
+                             ids=["str", "int-and-float", "bool"])
+    def test_keys_other_than_all_int_or_all_float_are_rejected(self, keys):
+        with pytest.raises(TypeError):
+            sort_fault(AlgorithmId.MERGE, keys, SortOrder.ASCENDING, 0, PivotRule.LAST_ELEMENT)
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_empty_keys_are_no_fault(self, order):
+        assert sort_fault(AlgorithmId.MERGE, [], order, 0, PivotRule.LAST_ELEMENT) is None
+
 
 class TestCTags:
-    # one key list per kind of tag: ints and floats ride as C-compared tags,
-    # anything else in TaggedElement; each holds a pair of equal keys, and a
+    # one key list per kind of tag, each holding a pair of equal keys, and a
     # plain value-equal copy of a tag
     KINDS = {
         "int": ([3, 1, 3, 2], int),
         "float": ([0.75, 0.25, 0.75, 0.5], float),
-        "fallback": (["c", "a", "c", "b"], lambda t: TaggedElement(t.key, t.origin)),
     }
 
     @pytest.fixture(params=list(KINDS))
@@ -273,10 +273,9 @@ class TestCTags:
         for keys, _ in self.KINDS.values():
             assert sort_fault(AlgorithmId.MERGE, keys, SortOrder.ASCENDING, 0,
                               PivotRule.LAST_ELEMENT) is None
-        ints, floats, fallback = (kinds.pop() for kinds in seen)
+        ints, floats = (kinds.pop() for kinds in seen)
         assert issubclass(ints, int) and ints is not int
         assert issubclass(floats, float) and floats is not float
-        assert fallback is TaggedElement
 
 
 class TestDrawsBelow:

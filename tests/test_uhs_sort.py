@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TaggedElement
+
 from sortlab.counting import OpCounters
 from sortlab.heap_core import HeapOrder, build, is_heap
-from sortlab.instrumentation import TaggedElement
 from sortlab.uhs_sort import SortOrder, heap_order_for, uhs_sort
 
 
