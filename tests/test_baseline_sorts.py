@@ -208,6 +208,23 @@ class TestQuick:
             assert got == sorted(a, reverse=True)
 
 
+class _Labeled:
+    """A number that carries a label; it sorts by its value alone."""
+
+    def __new__(cls, value, label):
+        self = super().__new__(cls, value)
+        self.label = label
+        return self
+
+
+class LabeledFloat(_Labeled, float):
+    pass
+
+
+class LabeledInt(_Labeled, int):
+    pass
+
+
 class TestBucket:
     def test_rejects_keys_outside_unit_interval(self):
         with pytest.raises(KeyDomainError):
@@ -232,6 +249,15 @@ class TestBucket:
         c = OpCounters()
         bucket_sort(a, counters=c)
         assert c.comparisons <= 4 * n
+
+    def test_records_sort_as_float_subclasses(self):
+        # a record sorts by the value it is; its payload rides along, stably
+        a = [LabeledFloat(0.75, "c"), LabeledFloat(0.25, "a"), LabeledFloat(0.5, "b"),
+             LabeledFloat(0.25, "a2")]
+        items = a[:]
+        bucket_sort(a)
+        assert [x.label for x in a] == ["a", "a2", "b", "c"]
+        assert sorted(map(id, a)) == sorted(map(id, items))
 
     def test_descending(self):
         a = [0.1, 0.9, 0.5, 0.5]
@@ -297,6 +323,14 @@ class TestRadix:
         a = [256, 0, 70000, 3]
         radix_sort(a)
         assert a == [0, 3, 256, 70000]
+
+    def test_records_sort_as_int_subclasses(self):
+        # a record sorts by the value it is; its payload rides along, stably
+        a = [LabeledInt(300, "c"), LabeledInt(2, "a"), LabeledInt(40, "b"), LabeledInt(2, "a2")]
+        items = a[:]
+        radix_sort(a)
+        assert [x.label for x in a] == ["a", "a2", "b", "c"]
+        assert sorted(map(id, a)) == sorted(map(id, items))
 
     def test_descending(self):
         a = [512, 1, 70000, 1]

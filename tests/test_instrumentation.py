@@ -134,6 +134,21 @@ class TestCountedSort:
         counted_sort(AlgorithmId.UHS, a, SortOrder.DESCENDING)
         assert a == [3, 2, 1]
 
+    def test_key_rejected_for_comparison_sorts(self):
+        a = [2, 1]
+        with pytest.raises(TypeError):
+            counted_sort(AlgorithmId.INSERTION, a, key=lambda x: x)
+        assert a == [2, 1]
+
+    @pytest.mark.parametrize("algorithm", [AlgorithmId.BUCKET, AlgorithmId.RADIX])
+    def test_key_rejected_for_distribution_sorts(self, algorithm):
+        # the distribution sorts read each element as its own key
+        a = [0.5, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1]
+        before = a[:]
+        with pytest.raises(TypeError):
+            counted_sort(algorithm, a, key=lambda x: x)
+        assert a == before
+
 
 class TestStabilityCheck:
     @pytest.mark.parametrize("algorithm", list(AlgorithmId))
