@@ -343,7 +343,9 @@ def bucket_sort(
     Elements scatter into n buckets by value, each bucket is
     insertion-sorted, and buckets are concatenated back. Every bucket is
     sorted before any is written back, so a comparison that raises leaves
-    ``elements`` untouched.
+    ``elements`` untouched. The domain scan first tests ``0 <= v < 1`` on
+    every key, two key comparisons each; only the insertion sorts'
+    comparisons are counted, not the scan's.
     """
     n = len(elements)
     if n == 0:
@@ -381,8 +383,10 @@ def radix_sort(
     Each pass runs a counting sort on one base-256 digit: tally digit
     occurrences into a counting array, turn tallies into starting offsets,
     then place every element at its new position. Placements are the only
-    counted moves, so the total is exactly digits * n, and no key comparison
-    ever happens.
+    counted moves, so the total is exactly digits * n. The passes compare no
+    keys, but the domain scan before them compares every key twice
+    (``v < 0`` and ``v > top``, which finds the largest); those comparisons
+    are not counted.
     """
     n = len(elements)
     if n == 0:

@@ -1,7 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import sortlab
 import sortlab.heap_core as heap_core
 import sortlab.instrumentation as instrumentation
 from sortlab.cli import main, parse_sizes
@@ -113,6 +119,13 @@ class TestSortCommand:
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, ["sort", "-i", "/nonexistent/path.txt"])
         assert code == 2 and "cannot read" in err
+
+    def test_input_file_that_is_not_utf8_is_rejected(self, capsys, tmp_path):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"3\n\xff\n1\n")
+        code, out, err = run_cli(capsys, ["sort", "-i", str(src)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot read {src}: ")
 
     def test_unknown_algorithm_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["sort", "-a", "nosuch"])
@@ -284,6 +297,72 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--only", "nosuch"])
         assert code == 2
+
+    @staticmethod
+    def _verify_on(cpus, capsys, monkeypatch, argv):
+        """Run verify as if this process may use ``cpus`` CPUs; also count forks."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            m.setattr(os, "fork", fork)
+            code, out, err = run_cli(capsys, argv)
+        return code, out, err, len(forks)
+
+    def test_serial_and_parallel_runs_print_the_same(self, capsys, monkeypatch):
+        argv = ["verify", "--only", "build-cost,heap-invariants,differential,dynamic"]
+        serial = self._verify_on(1, capsys, monkeypatch, argv)
+        parallel = self._verify_on(2, capsys, monkeypatch, argv)
+        assert serial[3] == 0 and parallel[3] == 2  # one worker per CPU
+        assert serial[:3] == parallel[:3] == (0, serial[1], "")
+        assert serial[1].splitlines() == [
+            f"{name}: PASS" for name in ("build-cost", "heap-invariants", "differential", "dynamic")
+        ]
+
+    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            code, out, _, forks = self._verify_on(
+                2, capsys, monkeypatch, ["verify", "--only", "build-cost,dynamic"])
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert forks == 0 and code == 0 and out == "build-cost: PASS\ndynamic: PASS\n"
+
+    def test_fault_in_a_worker_is_reported_like_a_serial_one(self, capsys, monkeypatch):
+        # forked workers inherit the broken kernel, and their failure comes
+        # back with the same verdict and detail lines
+        argv = ["verify", "--only", "heap-invariants,differential"]
+        with monkeypatch.context() as m:
+            m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
+            serial = self._verify_on(1, capsys, monkeypatch, argv)
+            parallel = self._verify_on(2, capsys, monkeypatch, argv)
+        assert serial[3] == 0 and parallel[3] == 2
+        assert serial[:3] == parallel[:3]
+        code, out, _, _ = parallel
+        assert code == 1
+        assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # every `sortlab sort` process pays for what `import sortlab.cli` loads;
+    # only verify's pool needs these modules
+    code = (
+        "import sys, sortlab.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_no_subcommand_is_usage_error(capsys):
