@@ -227,16 +227,6 @@ class SpaceRow:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class StabilityRow:
-    verdict: StabilityVerdict
-    expected_stable: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict.stable == self.expected_stable
-
-
 def _clustered(n: int, seed: int) -> list[float]:
     # every key inside [0, 1/n): the whole array lands in one bucket
     rng = random.Random(seed)
@@ -352,19 +342,16 @@ def space_table(seed: int = 0, n: int = 4096, quick_trials: int = 100) -> list[S
     return rows
 
 
-def stability_table(seed: int = 0, trials: int = 10_000) -> list[StabilityRow]:
-    """Stability verdict for every algorithm against its designed behavior."""
-    return [
-        StabilityRow(stability_check(alg, trials=trials, seed=seed), spec.stable)
-        for alg, spec in SPECS.items()
-    ]
+def stability_table(seed: int = 0, trials: int = 10_000) -> list[StabilityVerdict]:
+    """Stability verdict for every algorithm; each one's ``ok`` holds it against ``SPECS``."""
+    return [stability_check(alg, trials=trials, seed=seed) for alg in SPECS]
 
 
 @dataclass(frozen=True)
 class TableReport:
     time_rows: list[TimeRow]
     space_rows: list[SpaceRow]
-    stability_rows: list[StabilityRow]
+    stability_rows: list[StabilityVerdict]
 
     @property
     def ok(self) -> bool:
@@ -393,9 +380,9 @@ class TableReport:
                 lines.append(f"             note: {r.note}")
         lines.append("stability")
         for r in self.stability_rows:
-            want = "stable" if r.expected_stable else "unstable"
+            want = "stable" if SPECS[r.algorithm].stable else "unstable"
             lines.append(
-                f"  {r.verdict.describe():<60} expected {want:<9} "
+                f"  {r.describe():<60} expected {want:<9} "
                 f"{'OK' if r.ok else 'MISMATCH'}"
             )
         lines.append(f"overall: {'OK' if self.ok else 'MISMATCH'}")

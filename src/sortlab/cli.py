@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import analysis
 from .analysis import (
-    DifferentialError,
     Distribution,
     TableReport,
     dynamic_scenario,
@@ -266,7 +265,7 @@ def _cmd_stability(args) -> int:
     for algorithm in map(AlgorithmId, args.algorithms):
         verdict = stability_check(algorithm, trials=args.trials, seed=args.seed)
         print(verdict.describe())
-        ok &= verdict.stable == SPECS[algorithm].stable
+        ok &= verdict.ok
     return 0 if ok else 1
 
 
@@ -318,10 +317,7 @@ def _check_differential(seed: int) -> tuple[bool, list[str]]:
 
 
 def _check_dynamic(seed: int) -> tuple[bool, list[str]]:
-    try:
-        report = dynamic_scenario(make_workload(10_000, seed))
-    except DifferentialError as e:
-        return False, [str(e)]
+    report = dynamic_scenario(make_workload(10_000, seed))
     line = (
         f"heap comparisons {report.heap_counters.comparisons} vs "
         f"oracle shifts {report.oracle_shifts} over {report.steps} ops"
@@ -347,17 +343,14 @@ def _tables(time_rows, space_rows, stability_rows) -> tuple[bool, list[str]]:
     return report.ok, report.as_text().splitlines()
 
 
-def _only(result: tuple[bool, list[str]]) -> tuple[bool, list[str]]:
-    return result
-
-
 # Each check: the independent jobs it runs, each called with the seed, and
-# the function that makes the check's (ok, detail lines) from their results.
+# the function that makes the check's (ok, detail lines) from their results;
+# a one-job check without one passes its job's (ok, detail lines) through.
 _CHECKS = {
-    "build-cost": ((_check_build_cost,), _only),
-    "heap-invariants": ((_check_heap_invariants,), _only),
-    "differential": ((_check_differential,), _only),
-    "dynamic": ((_check_dynamic,), _only),
+    "build-cost": ((_check_build_cost,), None),
+    "heap-invariants": ((_check_heap_invariants,), None),
+    "differential": ((_check_differential,), None),
+    "dynamic": ((_check_dynamic,), None),
     "tables": ((_time_rows, _space_rows, _stability_rows), _tables),
 }
 # Every job, longest first: the order a pool starts them in. At seed 0 on one
@@ -366,12 +359,20 @@ _LONGEST_FIRST = (_time_rows, _space_rows, _stability_rows, _check_differential,
                   _check_build_cost, _check_dynamic, _check_heap_invariants)
 
 
-def _run_job(rank: int, seed: int):
-    return _LONGEST_FIRST[rank](seed)
+def _run_job(rank: int, seed: int) -> tuple[bool, object]:
+    """Run one job: (True, its result), or (False, the message of what it raised).
+
+    The message is a string because not every exception survives the trip
+    back from a worker: `DifferentialError` cannot be unpickled.
+    """
+    try:
+        return True, _LONGEST_FIRST[rank](seed)
+    except Exception as e:
+        return False, str(e)
 
 
-def _job_results(jobs: list, seed: int):
-    """Yield ``job(seed)`` for each job, in the order given.
+def _job_results(ranks: list[int], seed: int):
+    """Yield ``_run_job(rank, seed)`` for each rank, in the order given.
 
     With more than one job and more than one CPU that this process may run
     on, the jobs run longest first on a pool of forked workers, one per CPU;
@@ -380,7 +381,7 @@ def _job_results(jobs: list, seed: int):
     Forked workers see the process as it is, patched functions included.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)) if affinity else 1, len(jobs))
+    workers = min(len(affinity(0)) if affinity else 1, len(ranks))
     if workers > 1:
         import multiprocessing
         import threading
@@ -389,25 +390,32 @@ def _job_results(jobs: list, seed: int):
         if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        for job in jobs:
-            yield job(seed)
+        for rank in ranks:
+            yield _run_job(rank, seed)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    ranks = sorted({_LONGEST_FIRST.index(job) for job in jobs})
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {rank: pool.submit(_run_job, rank, seed) for rank in ranks}
-        for job in jobs:
-            yield futures[_LONGEST_FIRST.index(job)].result()
+        futures = {rank: pool.submit(_run_job, rank, seed) for rank in sorted(set(ranks))}
+        for rank in ranks:
+            yield futures[rank].result()
 
 
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
-    results = _job_results([job for name in names for job in _CHECKS[name][0]], args.seed)
+    ranks = [_LONGEST_FIRST.index(job) for name in names for job in _CHECKS[name][0]]
+    results = _job_results(ranks, args.seed)
     all_ok = True
     for name in names:
         jobs, verdict = _CHECKS[name]
-        ok, detail = verdict(*(next(results) for _ in jobs))
+        ran = [next(results) for _ in jobs]
+        raised = [value for done, value in ran if not done]
+        if raised:
+            ok, detail = False, raised
+        elif verdict is None:
+            ok, detail = ran[0][1]
+        else:
+            ok, detail = verdict(*(value for _, value in ran))
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             for line in detail:

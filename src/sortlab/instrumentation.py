@@ -123,6 +123,11 @@ class StabilityVerdict:
     trials: int
     witness: list | None = None
 
+    @property
+    def ok(self) -> bool:
+        """Whether the measured verdict matches the algorithm's designed stability."""
+        return self.stable == SPECS[self.algorithm].stable
+
     def describe(self) -> str:
         if self.stable:
             return f"{self.algorithm.value}: STABLE(trials={self.trials})"

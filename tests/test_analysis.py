@@ -207,7 +207,7 @@ class TestTables:
 
     def test_stability_rows(self, report):
         assert all(r.ok for r in report.stability_rows)
-        verdicts = {r.verdict.algorithm: r.verdict.stable for r in report.stability_rows}
+        verdicts = {r.algorithm: r.stable for r in report.stability_rows}
         assert verdicts[AlgorithmId.QUICK] is False
         assert verdicts[AlgorithmId.MERGE] is True
 

@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 import sortlab
+import sortlab.cli as cli
 import sortlab.heap_core as heap_core
 import sortlab.instrumentation as instrumentation
 from sortlab.cli import main, parse_sizes
+from sortlab.uhs_sort import SortOrder
+
+
+def _sorts_without_counting(a, order, counters=None):
+    a.sort(reverse=order is SortOrder.DESCENDING)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -253,6 +259,14 @@ class TestStabilityCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 2
 
+    def test_verdict_against_the_design_sets_exit_one(self, capsys, monkeypatch):
+        # uhs sorts in order but reorders equal keys, so a merge that is uhs
+        # is found unstable, which its design says it is not
+        monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
+        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge", "--trials", "10"])
+        assert code == 1
+        assert out == "merge: UNSTABLE witness=[0, 0]\n"
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_non_positive_trials_rejected(self, capsys, trials):
         code, out, err = run_cli(
@@ -350,6 +364,38 @@ class TestVerifyCommand:
         code, out, _, _ = parallel
         assert code == 1
         assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
+
+    @pytest.mark.parametrize("patch,checks,expected", [
+        ((heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0)),
+         "build-cost,heap-invariants,differential",
+         "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
+         "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n"
+         "differential: FAIL\n  trial 0: uhs asc missorted "),
+        ((instrumentation, "merge_sort", _sorts_without_counting),
+         "tables", "tables: FAIL\n  costs must be strictly positive\n"),
+    ], ids=["build-cost-raises", "tables-raises"])
+    def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch, patch, checks,
+                                                    expected):
+        # build_cost_audit and growth_fit raise; verify reports what they
+        # raised as the check's detail, on one CPU and on two alike
+        argv = ["verify", "--only", checks]
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            serial = self._verify_on(1, capsys, monkeypatch, argv)
+            parallel = self._verify_on(2, capsys, monkeypatch, argv)
+        assert serial[3] == 0 and parallel[3] == 2
+        assert serial[:3] == parallel[:3]
+        code, out, err, _ = serial
+        assert code == 1 and err == ""
+        assert out.startswith(expected)
+        assert "Traceback" not in out
+
+
+def test_every_verify_job_is_in_the_pool_order_once():
+    # verify finds each job by its rank in _LONGEST_FIRST, serial or pooled
+    jobs = {job for check_jobs, _ in cli._CHECKS.values() for job in check_jobs}
+    assert len(set(cli._LONGEST_FIRST)) == len(cli._LONGEST_FIRST)
+    assert set(cli._LONGEST_FIRST) == jobs
 
 
 def test_importing_the_cli_loads_no_process_pool():

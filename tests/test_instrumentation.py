@@ -189,6 +189,12 @@ class TestStabilityCheck:
         assert stable.describe() == "merge: STABLE(trials=123)"
         assert unstable.describe() == "uhs: UNSTABLE witness=[0, 0]"
 
+    def test_ok_holds_the_verdict_against_the_design(self):
+        assert StabilityVerdict(AlgorithmId.MERGE, True, 123).ok
+        assert not StabilityVerdict(AlgorithmId.MERGE, False, 9, [0, 0]).ok
+        assert StabilityVerdict(AlgorithmId.UHS, False, 9, [0, 0]).ok
+        assert not StabilityVerdict(AlgorithmId.UHS, True, 123).ok
+
 
 class TestSortFault:
     @pytest.mark.parametrize("order", list(SortOrder))

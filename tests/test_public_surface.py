@@ -57,6 +57,10 @@ def test_public_surface_is_pinned():
     # no test-only hook is left in the library
     assert not [name for name in dir(heap_core) if name.startswith("_FAULT")]
     assert not hasattr(importlib.import_module("sortlab.uhs_sort"), "sorted_region_invariant")
+    # a stability verdict meets its design in `StabilityVerdict.ok` alone, and
+    # a one-job verify check needs no identity verdict
+    assert not hasattr(importlib.import_module("sortlab.analysis"), "StabilityRow")
+    assert not hasattr(importlib.import_module("sortlab.cli"), "_only")
     # no option that only tests ever set
     removed = {
         sortlab.uhs_sort: {"checkpoint"},
