@@ -186,21 +186,34 @@ def run_sweep(
     takes only integer keys skips the uniform01 cells.
     """
     records = []
-    for algorithm in algorithms:
-        domain = SPECS[algorithm].keys
-        wants_floats = domain is KeyDomain.UNIT_FLOAT
-        for n in sizes:
-            for dist in distributions:
-                if domain is KeyDomain.NONNEG_INT and dist is Distribution.UNIFORM01:
-                    continue
-                for trial in range(trials):
-                    sub = _subseed(seed, n, dist, trial)
-                    arr = generate_input(dist, n, sub, floats=wants_floats)
-                    t0 = time.perf_counter_ns()
-                    _, c = counted_sort(algorithm, arr, order, seed=sub, pivot=pivot)
-                    wall = time.perf_counter_ns() - t0
-                    records.append(BenchRecord(algorithm, n, dist, trial, c, wall))
+    for algorithm, n, dist in sweep_cells(algorithms, sizes, distributions):
+        wants_floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+        for trial in range(trials):
+            sub = _subseed(seed, n, dist, trial)
+            arr = generate_input(dist, n, sub, floats=wants_floats)
+            t0 = time.perf_counter_ns()
+            _, c = counted_sort(algorithm, arr, order, seed=sub, pivot=pivot)
+            wall = time.perf_counter_ns() - t0
+            records.append(BenchRecord(algorithm, n, dist, trial, c, wall))
     return records
+
+
+def sweep_cells(
+    algorithms: Sequence[AlgorithmId],
+    sizes: Sequence[int],
+    distributions: Sequence[Distribution],
+) -> list[tuple[AlgorithmId, int, Distribution]]:
+    """A sweep's (algorithm, size, distribution) cells, in `run_sweep`'s order.
+
+    An algorithm that takes only integer keys has no uniform01 cells.
+    """
+    return [
+        (algorithm, n, dist)
+        for algorithm in algorithms
+        for n in sizes
+        for dist in distributions
+        if not (SPECS[algorithm].keys is KeyDomain.NONNEG_INT and dist is Distribution.UNIFORM01)
+    ]
 
 
 @dataclass(frozen=True)
@@ -273,6 +286,17 @@ _TIME_CASES = (
     _TimeCase(_A.BUBBLE, ("average",), "random", _C.QUADRATIC, QUAD_SIZES, _rnd),
     _TimeCase(_A.UHS, ("worst", "average"), "random", _C.LINEARITHMIC, FAST_SIZES, _rnd),
 )
+
+
+def cell_cost(algorithm: AlgorithmId, n: int) -> float:
+    """An estimate of what one sort of n keys costs ``algorithm``, to order work by.
+
+    It is g(n) for the fastest growth class that `_TIME_CASES` expects of
+    the algorithm: the class of its typical input, not of its adversarial one.
+    Sizes below 2 count as 2, where every g is positive.
+    """
+    expected = {case.expected for case in _TIME_CASES if case.algorithm is algorithm}
+    return next(g for kind, g in _MODELS if kind in expected)(max(n, 2))
 
 
 def time_table(seed: int = 0) -> list[TimeRow]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 import random
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Callable
 
 from .counting import OpCounters
@@ -113,8 +113,9 @@ def bubble_sort(
 
     Each pass holds the element it is bubbling in a local ``x`` and leaves a
     hole where it was. Step ``h`` compares ``x`` with the next element
-    ``y``, read from a snapshot of the pass's slots (no step reads a slot
-    the pass has written), and fills the hole with one write: ``y`` if the
+    ``y``, read through a live iterator over the pass's slots (it runs
+    ahead of the hole, so no step reads a slot the pass has written and the
+    pass copies nothing), and fills the hole with one write: ``y`` if the
     two swap, otherwise ``x``, and ``y`` is held from then on. Each swap
     step is one adjacent exchange of the textbook pass, so ``swaps`` counts
     exactly those exchanges; a pass over ``end + 1`` slots makes ``end``
@@ -130,7 +131,7 @@ def bubble_sort(
         x = a[0]
         try:
             if asc:
-                for h, y in enumerate(a[1:end + 1]):
+                for h, y in enumerate(islice(a, 1, end + 1)):
                     if x > y:
                         a[h] = y
                     else:
@@ -138,7 +139,7 @@ def bubble_sort(
                         x = y
                         keep += 1
             else:
-                for h, y in enumerate(a[1:end + 1]):
+                for h, y in enumerate(islice(a, 1, end + 1)):
                     if x < y:
                         a[h] = y
                     else:

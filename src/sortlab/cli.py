@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 a check or verdict failed, 2 bad usage or bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -16,10 +17,12 @@ from . import analysis
 from .analysis import (
     Distribution,
     TableReport,
+    cell_cost,
     dynamic_scenario,
     make_workload,
     reproduce_tables,  # noqa: F401 -- unused here, but perfbench/spans.py wraps it
     run_sweep,
+    sweep_cells,
     write_csv,
 )
 from .baseline_sorts import AlgorithmId, KeyDomainError, PivotRule
@@ -229,22 +232,22 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
+    cells = sweep_cells(algorithms, args.sizes, distributions)
+    if not cells:  # integer-key algorithms only, uniform01 only
+        print(f"{algorithms[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
+        return 2
     int_only = [a for a in algorithms if SPECS[a].keys is KeyDomain.NONNEG_INT]
     if int_only and Distribution.UNIFORM01 in distributions:
-        if len(int_only) == len(algorithms) and set(distributions) == {Distribution.UNIFORM01}:
-            print(f"{int_only[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
-            return 2
         names = ",".join(a.value for a in int_only)
         print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
-    records = run_sweep(
-        algorithms,
-        args.sizes,
-        distributions,
-        trials=args.trials,
-        seed=args.seed,
-        order=_ORDERS[args.order],
-        pivot=PivotRule(args.pivot),
-    )
+    tasks = _sweep_tasks(cells)
+    run = functools.partial(_sweep_task, options=dict(
+        trials=args.trials, seed=args.seed, order=_ORDERS[args.order], pivot=PivotRule(args.pivot)
+    ))
+    done = {}
+    for task, results in zip(tasks, _job_results(run, tasks)):
+        done.update(zip(task, results))
+    records = [record for cell in cells for record in done[cell]]
     if args.csv:
         try:
             with open(args.csv, "w") as fh:
@@ -255,6 +258,33 @@ def _cmd_bench(args) -> int:
     else:
         write_csv(records, sys.stdout)
     return 0
+
+
+# A task closes once it holds this share of a sweep's estimated cost, so a
+# sweep of many small cells pays at most about 33 pool round trips, and the
+# last tasks, the small ones, even out the workers' loads.
+_SWEEP_SHARE = 1 / 32
+
+
+def _sweep_tasks(cells: list) -> list[list]:
+    """Group distinct sweep cells into tasks, longest first, by `cell_cost`."""
+    cost = {cell: cell_cost(cell[0], cell[1]) for cell in cells}
+    share = sum(cost.values()) * _SWEEP_SHARE
+    tasks, task, held = [], [], 0.0
+    for cell in sorted(cost, key=cost.get, reverse=True):
+        task.append(cell)
+        held += cost[cell]
+        if held >= share:
+            tasks.append(task)
+            task, held = [], 0.0
+    if task:
+        tasks.append(task)
+    return tasks
+
+
+def _sweep_task(cells: list, options: dict) -> list:
+    """Each cell's records, as `run_sweep` makes them for that cell alone."""
+    return [run_sweep([a], [n], [d], **options) for a, n, d in cells]
 
 
 def _cmd_stability(args) -> int:
@@ -371,17 +401,19 @@ def _run_job(rank: int, seed: int) -> tuple[bool, object]:
         return False, str(e)
 
 
-def _job_results(ranks: list[int], seed: int):
-    """Yield ``_run_job(rank, seed)`` for each rank, in the order given.
+def _job_results(run, jobs: list) -> list:
+    """``[run(job) for job in jobs]``, on every CPU this process may use.
 
     With more than one job and more than one CPU that this process may run
-    on, the jobs run longest first on a pool of forked workers, one per CPU;
-    otherwise they run here, one after another. Either way the results are
-    the same. The pool's modules are imported only when a pool is used.
-    Forked workers see the process as it is, patched functions included.
+    on, the jobs run on a pool of forked workers, one per CPU, which starts
+    them in the order given, so callers list them longest first; otherwise
+    they run here, one after another. Either way the results are the same,
+    and so is what the first job to fail, in the order given, raises. The
+    pool's modules are imported only when a pool is used. Forked workers see
+    the process as it is, patched functions included.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)) if affinity else 1, len(ranks))
+    workers = min(len(affinity(0)) if affinity else 1, len(jobs))
     if workers > 1:
         import multiprocessing
         import threading
@@ -390,25 +422,22 @@ def _job_results(ranks: list[int], seed: int):
         if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        for rank in ranks:
-            yield _run_job(rank, seed)
-        return
+        return list(map(run, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {rank: pool.submit(_run_job, rank, seed) for rank in sorted(set(ranks))}
-        for rank in ranks:
-            yield futures[rank].result()
+        return list(pool.map(run, jobs))
 
 
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
-    ranks = [_LONGEST_FIRST.index(job) for name in names for job in _CHECKS[name][0]]
-    results = _job_results(ranks, args.seed)
+    wanted = {job for name in names for job in _CHECKS[name][0]}
+    ranks = [rank for rank, job in enumerate(_LONGEST_FIRST) if job in wanted]
+    results = dict(zip(ranks, _job_results(functools.partial(_run_job, seed=args.seed), ranks)))
     all_ok = True
     for name in names:
         jobs, verdict = _CHECKS[name]
-        ran = [next(results) for _ in jobs]
+        ran = [results[_LONGEST_FIRST.index(job)] for job in jobs]
         raised = [value for done, value in ran if not done]
         if raised:
             ok, detail = False, raised

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,23 @@ class TestBubble:
         got = xs[:]
         bubble_sort(got)
         assert got == sorted(xs)
+
+    def test_traced_peak_above_the_input_is_flat_in_n(self):
+        # "0 slots" in fact: a pass reads its slots through an iterator, not a
+        # copy, which would take 8 bytes a slot (8 KiB at n = 1024). Two full
+        # passes: the largest key walks to the end, then one pass swaps nothing.
+        bubble_sort([2, 1], counters=OpCounters())  # first-call allocations off the peak
+        peaks = []
+        for n in (1024, 4096):
+            a = [n, *range(n - 1)]
+            tracemalloc.start()
+            try:
+                bubble_sort(a, counters=OpCounters())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert a == sorted(a)
+        assert max(peaks) <= 1024, peaks  # allowance: 1 KiB, whatever n is
 
 
 class TestMerge:

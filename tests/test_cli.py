@@ -28,6 +28,29 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def run_on(cpus, capsys, monkeypatch, argv, forks=None):
+    """Run the CLI as if this process may use ``cpus`` CPUs; also count forks.
+
+    Pass a list as ``forks`` to read the count when the run raises.
+    """
+    forks = [] if forks is None else forks
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", fork)
+        code, out, err = run_cli(capsys, argv)
+    return code, out, err, len(forks)
+
+
+def _without_wall_nanos(csv_text):
+    return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
 class TestParseSizes:
     def test_doubling_ladder(self):
         assert parse_sizes("2^8..2^11") == [256, 512, 1024, 2048]
@@ -241,6 +264,54 @@ class TestBenchCommand:
                                         "--sizes", "16"])
         assert code == 2 and "--trials" in err
 
+    @pytest.mark.parametrize("order", ["asc", "desc"])
+    def test_serial_and_pooled_runs_write_the_same_csv(self, capsys, monkeypatch, order):
+        argv = ["bench", "--algorithms", "all", "--distributions", "all", "--trials", "2",
+                "--sizes", "2^4..2^7", "--seed", "3", "--order", order]
+        serial = run_on(1, capsys, monkeypatch, argv)
+        pooled = run_on(2, capsys, monkeypatch, argv)
+        assert serial[3] == 0 and pooled[3] == 2  # one worker per CPU
+        assert serial[0] == pooled[0] == 0 and serial[2] == pooled[2] != ""
+        rows = _without_wall_nanos(serial[1])
+        assert rows == _without_wall_nanos(pooled[1])
+        assert len(rows) == 1 + (7 * 5 - 1) * 4 * 2
+
+    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+        argv = ["bench", "--algorithms", "uhs,merge", "--sizes", "16,32"]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            code, out, _, forks = run_on(2, capsys, monkeypatch, argv)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert forks == 0 and code == 0 and len(out.splitlines()) == 1 + 2 * 2
+
+    def test_a_sort_that_raises_in_a_cell_raises_the_same_serial_or_pooled(
+        self, capsys, monkeypatch
+    ):
+        # two cells raise; both runs report the same one, and a pooled run
+        # re-raises it in this process
+        def merge_sort(a, order, counters=None):
+            if len(a) in (32, 128):
+                raise ValueError(f"merge cannot sort {len(a)} keys")
+            a.sort(reverse=order is SortOrder.DESCENDING)
+
+        argv = ["bench", "--algorithms", "all", "--sizes", "2^4..2^7"]
+        raised = []
+        for cpus in (1, 2):
+            forks = []
+            with monkeypatch.context() as m:
+                m.setattr(instrumentation, "merge_sort", merge_sort)
+                with pytest.raises(ValueError) as e:
+                    run_on(cpus, capsys, monkeypatch, argv, forks)
+            raised.append((type(e.value), str(e.value), len(forks)))
+        assert raised[0][:2] == raised[1][:2]
+        assert raised[0][1] in ("merge cannot sort 32 keys", "merge cannot sort 128 keys")
+        assert [forks for _, _, forks in raised] == [0, 2]
+
 
 class TestStabilityCommand:
     def test_verdict_lines_and_exit_zero(self, capsys):
@@ -312,26 +383,10 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, ["verify", "--only", "nosuch"])
         assert code == 2
 
-    @staticmethod
-    def _verify_on(cpus, capsys, monkeypatch, argv):
-        """Run verify as if this process may use ``cpus`` CPUs; also count forks."""
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            m.setattr(os, "fork", fork)
-            code, out, err = run_cli(capsys, argv)
-        return code, out, err, len(forks)
-
     def test_serial_and_parallel_runs_print_the_same(self, capsys, monkeypatch):
         argv = ["verify", "--only", "build-cost,heap-invariants,differential,dynamic"]
-        serial = self._verify_on(1, capsys, monkeypatch, argv)
-        parallel = self._verify_on(2, capsys, monkeypatch, argv)
+        serial = run_on(1, capsys, monkeypatch, argv)
+        parallel = run_on(2, capsys, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2  # one worker per CPU
         assert serial[:3] == parallel[:3] == (0, serial[1], "")
         assert serial[1].splitlines() == [
@@ -343,7 +398,7 @@ class TestVerifyCommand:
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            code, out, _, forks = self._verify_on(
+            code, out, _, forks = run_on(
                 2, capsys, monkeypatch, ["verify", "--only", "build-cost,dynamic"])
         finally:
             release.set()
@@ -357,8 +412,8 @@ class TestVerifyCommand:
         argv = ["verify", "--only", "heap-invariants,differential"]
         with monkeypatch.context() as m:
             m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
-            serial = self._verify_on(1, capsys, monkeypatch, argv)
-            parallel = self._verify_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, capsys, monkeypatch, argv)
+            parallel = run_on(2, capsys, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3]
         code, out, _, _ = parallel
@@ -381,8 +436,8 @@ class TestVerifyCommand:
         argv = ["verify", "--only", checks]
         with monkeypatch.context() as m:
             m.setattr(*patch)
-            serial = self._verify_on(1, capsys, monkeypatch, argv)
-            parallel = self._verify_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, capsys, monkeypatch, argv)
+            parallel = run_on(2, capsys, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3]
         code, out, err, _ = serial
