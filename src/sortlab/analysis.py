@@ -426,9 +426,12 @@ class DifferentialError(Exception):
     """Heap and oracle disagreed; carries the shortest failing prefix."""
 
     def __init__(self, step: int, prefix: list, message: str):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(step, prefix, message)  # what pickle rebuilds it from
         self.step = step
         self.prefix = prefix
+
+    def __str__(self) -> str:
+        return f"step {self.step}: {self.args[2]}"
 
 
 @dataclass(frozen=True)

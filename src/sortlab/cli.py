@@ -240,7 +240,10 @@ def _cmd_bench(args) -> int:
     if int_only and Distribution.UNIFORM01 in distributions:
         names = ",".join(a.value for a in int_only)
         print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
-    tasks = _sweep_tasks(cells)
+    # The distinct cells, costliest first, dealt round-robin into at most 32
+    # tasks: few pool round trips, and no task holds more than ceil(cells / 32).
+    ranked = sorted(dict.fromkeys(cells), key=lambda c: cell_cost(c[0], c[1]), reverse=True)
+    tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
     run = functools.partial(_sweep_task, options=dict(
         trials=args.trials, seed=args.seed, order=_ORDERS[args.order], pivot=PivotRule(args.pivot)
     ))
@@ -258,28 +261,6 @@ def _cmd_bench(args) -> int:
     else:
         write_csv(records, sys.stdout)
     return 0
-
-
-# A task closes once it holds this share of a sweep's estimated cost, so a
-# sweep of many small cells pays at most about 33 pool round trips, and the
-# last tasks, the small ones, even out the workers' loads.
-_SWEEP_SHARE = 1 / 32
-
-
-def _sweep_tasks(cells: list) -> list[list]:
-    """Group distinct sweep cells into tasks, longest first, by `cell_cost`."""
-    cost = {cell: cell_cost(cell[0], cell[1]) for cell in cells}
-    share = sum(cost.values()) * _SWEEP_SHARE
-    tasks, task, held = [], [], 0.0
-    for cell in sorted(cost, key=cost.get, reverse=True):
-        task.append(cell)
-        held += cost[cell]
-        if held >= share:
-            tasks.append(task)
-            task, held = [], 0.0
-    if task:
-        tasks.append(task)
-    return tasks
 
 
 def _sweep_task(cells: list, options: dict) -> list:
@@ -383,20 +364,17 @@ _CHECKS = {
     "dynamic": ((_check_dynamic,), None),
     "tables": ((_time_rows, _space_rows, _stability_rows), _tables),
 }
-# Every job, longest first: the order a pool starts them in. At seed 0 on one
-# CPU they take about 1.7, 1.3, 0.44, 0.15, 0.06, 0.03 and 0.03 s.
-_LONGEST_FIRST = (_time_rows, _space_rows, _stability_rows, _check_differential,
-                  _check_build_cost, _check_dynamic, _check_heap_invariants)
 
 
-def _run_job(rank: int, seed: int) -> tuple[bool, object]:
-    """Run one job: (True, its result), or (False, the message of what it raised).
+def _run_job(job: tuple[str, int], seed: int) -> tuple[bool, object]:
+    """Run job (check, index) of `_CHECKS`: (True, its result), or (False, what it raised).
 
-    The message is a string because not every exception survives the trip
-    back from a worker: `DifferentialError` cannot be unpickled.
+    What it raised comes back as its message, a string, because an exception
+    from outside sortlab may not survive the trip back from a worker.
     """
+    name, index = job
     try:
-        return True, _LONGEST_FIRST[rank](seed)
+        return True, _CHECKS[name][0][index](seed)
     except Exception as e:
         return False, str(e)
 
@@ -406,11 +384,11 @@ def _job_results(run, jobs: list) -> list:
 
     With more than one job and more than one CPU that this process may run
     on, the jobs run on a pool of forked workers, one per CPU, which starts
-    them in the order given, so callers list them longest first; otherwise
-    they run here, one after another. Either way the results are the same,
-    and so is what the first job to fail, in the order given, raises. The
-    pool's modules are imported only when a pool is used. Forked workers see
-    the process as it is, patched functions included.
+    them in the order given; otherwise they run here, one after another.
+    Either way the results are the same, and so is what the first job to
+    fail, in the order given, raises. The pool's modules are imported only
+    when a pool is used. Forked workers see the process as it is, patched
+    functions included.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else 1, len(jobs))
@@ -431,13 +409,12 @@ def _job_results(run, jobs: list) -> list:
 
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
-    wanted = {job for name in names for job in _CHECKS[name][0]}
-    ranks = [rank for rank, job in enumerate(_LONGEST_FIRST) if job in wanted]
-    results = dict(zip(ranks, _job_results(functools.partial(_run_job, seed=args.seed), ranks)))
+    jobs = [(name, i) for name in dict.fromkeys(names) for i in range(len(_CHECKS[name][0]))]
+    results = dict(zip(jobs, _job_results(functools.partial(_run_job, seed=args.seed), jobs)))
     all_ok = True
     for name in names:
-        jobs, verdict = _CHECKS[name]
-        ran = [results[_LONGEST_FIRST.index(job)] for job in jobs]
+        check_jobs, verdict = _CHECKS[name]
+        ran = [results[name, i] for i in range(len(check_jobs))]
         raised = [value for done, value in ran if not done]
         if raised:
             ok, detail = False, raised

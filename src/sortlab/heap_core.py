@@ -60,8 +60,8 @@ class HeapIndexError(IndexError):
 def is_heap(elements, size: int | None = None, order: HeapOrder = HeapOrder.MAX_AT_ROOT) -> bool:
     """True iff every parent dominates its in-range children. Read-only O(n) scan."""
     n = len(elements) if size is None else size
-    if n > len(elements):
-        raise ValueError(f"size {n} exceeds backing length {len(elements)}")
+    if not 0 <= n <= len(elements):
+        raise ValueError(f"size {n} is outside 0..{len(elements)}, the backing length")
     dominates = operator.ge if order is HeapOrder.MAX_AT_ROOT else operator.le
     for i in range(1, n):
         if not dominates(elements[(i - 1) >> 1], elements[i]):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import pickle
 import random
 
 import pytest
@@ -269,6 +270,12 @@ class TestDynamic:
     def test_unknown_op_rejected(self):
         with pytest.raises(DifferentialError):
             dynamic_scenario([("frobnicate",)])
+
+    def test_error_survives_pickling(self):
+        # a pooled run brings what a worker raised back through pickle
+        e = pickle.loads(pickle.dumps(DifferentialError(3, [("push", 1)], "boom")))
+        assert type(e) is DifferentialError
+        assert (e.step, e.prefix, str(e)) == (3, [("push", 1)], "step 3: boom")
 
 
 def test_standalone_tables_agree_with_bundle():

@@ -1,8 +1,10 @@
 import io
+import math
 import os
 import subprocess
 import sys
 import threading
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -312,6 +314,29 @@ class TestBenchCommand:
         assert raised[0][1] in ("merge cannot sort 32 keys", "merge cannot sort 128 keys")
         assert [forks for _, _, forks in raised] == [0, 2]
 
+    def test_many_tiny_cells_take_at_most_32_tasks(self, capsys, monkeypatch):
+        # 340 cells of up to 512 keys: each task costs a pool round trip, so
+        # the cells are dealt into 32 tasks, none of more than ceil(340 / 32)
+        sweep_task, tasks = cli._sweep_task, []
+
+        def counting(cells, options):
+            tasks.append(len(cells))
+            return sweep_task(cells, options)
+
+        monkeypatch.setattr(cli, "_sweep_task", counting)
+        argv = ["bench", "--algorithms", "all", "--sizes", "1..2^9", "--distributions", "all",
+                "--seed", "3"]
+        code, out, _, forks = run_on(1, capsys, monkeypatch, argv)
+        assert code == 0 and forks == 0
+        assert len(tasks) <= 32 and max(tasks) <= math.ceil(340 / 32) and sum(tasks) == 340
+        algorithms = ["insertion", "merge", "quick", "bucket", "radix", "bubble", "uhs"]
+        distributions = ["random", "sorted", "reversed", "few-unique", "uniform01"]
+        expected = [
+            f"{a},{2**k},{d},0" for a, k, d in product(algorithms, range(10), distributions)
+            if (a, d) != ("radix", "uniform01")
+        ]
+        assert [",".join(line.split(",")[:4]) for line in out.splitlines()[1:]] == expected
+
 
 class TestStabilityCommand:
     def test_verdict_lines_and_exit_zero(self, capsys):
@@ -393,6 +418,23 @@ class TestVerifyCommand:
             f"{name}: PASS" for name in ("build-cost", "heap-invariants", "differential", "dynamic")
         ]
 
+    def test_a_check_named_twice_runs_once_and_prints_twice(self, capsys, monkeypatch):
+        dynamic_scenario, calls = cli.dynamic_scenario, []
+
+        def counting(ops):
+            calls.append(1)
+            return dynamic_scenario(ops)
+
+        argv = ["verify", "--only", "dynamic,build-cost,dynamic"]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "dynamic_scenario", counting)
+            serial = run_on(1, capsys, monkeypatch, argv)
+        parallel = run_on(2, capsys, monkeypatch, argv)
+        assert len(calls) == 1
+        assert serial[3] == 0 and parallel[3] == 2
+        assert serial[:3] == parallel[:3] == (
+            0, "dynamic: PASS\nbuild-cost: PASS\ndynamic: PASS\n", "")
+
     def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
@@ -446,11 +488,12 @@ class TestVerifyCommand:
         assert "Traceback" not in out
 
 
-def test_every_verify_job_is_in_the_pool_order_once():
-    # verify finds each job by its rank in _LONGEST_FIRST, serial or pooled
-    jobs = {job for check_jobs, _ in cli._CHECKS.values() for job in check_jobs}
-    assert len(set(cli._LONGEST_FIRST)) == len(cli._LONGEST_FIRST)
-    assert set(cli._LONGEST_FIRST) == jobs
+def test_every_verify_check_has_a_job_and_a_verdict_for_several():
+    # _CHECKS is the one table of verify's jobs: a check with no job would
+    # print nothing true, and several results need a verdict to combine them
+    for jobs, verdict in cli._CHECKS.values():
+        assert len(jobs) >= 1
+        assert len(jobs) == 1 or verdict is not None
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -66,6 +66,11 @@ class TestIsHeap:
         with pytest.raises(ValueError):
             is_heap([1, 2], 3)
 
+    @pytest.mark.parametrize("size", [-1, -2])
+    def test_negative_size_rejected(self, size):
+        with pytest.raises(ValueError, match="outside"):
+            is_heap([1, 2, 3], size)
+
     def test_trivial_cases(self):
         assert is_heap([])
         assert is_heap([42])
