@@ -326,15 +326,16 @@ _QUICK_SPACE_NOTE = (
 )
 
 
-def space_table(seed: int = 0, n: int = 4096, quick_trials: int = 100) -> list[SpaceRow]:
-    """Peak auxiliary usage per algorithm at a fixed size.
+def space_table(seed: int = 0) -> list[SpaceRow]:
+    """Peak auxiliary usage per algorithm at n = 4096.
 
     Every row but quicksort's meters scratch slots on keys from the
     algorithm's domain, and must hit its ``SPECS`` budget exactly. Quicksort
-    allocates no buffers, so its row tracks peak recursion depth over
-    ``quick_trials`` seeded runs against a 2*log2(n) budget -- deliberately
-    tighter than the claimed linearithmic envelope; the note explains the gap.
+    allocates no buffers, so its row tracks peak recursion depth over 100
+    seeded runs against a 2*log2(n) budget -- deliberately tighter than the
+    claimed linearithmic envelope; the note explains the gap.
     """
+    n, quick_trials = 4096, 100
     log2n = int(math.log2(n))
     R, U = Distribution.RANDOM_SEEDED, Distribution.UNIFORM01
     keys = {
@@ -366,9 +367,9 @@ def space_table(seed: int = 0, n: int = 4096, quick_trials: int = 100) -> list[S
     return rows
 
 
-def stability_table(seed: int = 0, trials: int = 10_000) -> list[StabilityVerdict]:
-    """Stability verdict for every algorithm; each one's ``ok`` holds it against ``SPECS``."""
-    return [stability_check(alg, trials=trials, seed=seed) for alg in SPECS]
+def stability_table(seed: int = 0) -> list[StabilityVerdict]:
+    """`stability_check` with 2,000 random trials per algorithm; ``ok`` is against ``SPECS``."""
+    return [stability_check(alg, trials=2000, seed=seed) for alg in SPECS]
 
 
 @dataclass(frozen=True)
@@ -413,12 +414,12 @@ class TableReport:
         return "\n".join(lines)
 
 
-def reproduce_tables(seed: int = 0, stability_trials: int = 10_000) -> TableReport:
-    """Measure everything and assemble the three summary tables."""
+def reproduce_tables(seed: int = 0) -> TableReport:
+    """Measure everything and assemble the three summary tables: verify's ``tables`` check."""
     return TableReport(
         time_rows=time_table(seed),
         space_rows=space_table(seed),
-        stability_rows=stability_table(seed, trials=stability_trials),
+        stability_rows=stability_table(seed),
     )
 
 

@@ -248,8 +248,9 @@ def _cmd_bench(args) -> int:
         trials=args.trials, seed=args.seed, order=_ORDERS[args.order], pivot=PivotRule(args.pivot)
     ))
     done = {}
-    for task, results in zip(tasks, _job_results(run, tasks)):
-        done.update(zip(task, results))
+    for task, (ok, results) in zip(tasks, _job_results(run, tasks)):
+        # a task that raised runs again here, to raise the same exception in this process
+        done.update(zip(task, results if ok else run(task)))
     records = [record for cell in cells for record in done[cell]]
     if args.csv:
         try:
@@ -336,17 +337,9 @@ def _check_dynamic(seed: int) -> tuple[bool, list[str]]:
     return report.ok, [line]
 
 
-# The tables' three jobs look their function up in `analysis` when they run.
-def _time_rows(seed: int):
-    return analysis.time_table(seed)
-
-
-def _space_rows(seed: int):
-    return analysis.space_table(seed)
-
-
-def _stability_rows(seed: int):
-    return analysis.stability_table(seed, trials=2000)
+def _table_rows(table: str, seed: int):
+    """``analysis.<table>(seed)``, looked up when the job runs so that a wrapped table runs."""
+    return getattr(analysis, table)(seed)
 
 
 def _tables(time_rows, space_rows, stability_rows) -> tuple[bool, list[str]]:
@@ -362,34 +355,37 @@ _CHECKS = {
     "heap-invariants": ((_check_heap_invariants,), None),
     "differential": ((_check_differential,), None),
     "dynamic": ((_check_dynamic,), None),
-    "tables": ((_time_rows, _space_rows, _stability_rows), _tables),
+    "tables": (tuple(functools.partial(_table_rows, table)
+                     for table in ("time_table", "space_table", "stability_table")), _tables),
 }
 
 
-def _run_job(job: tuple[str, int], seed: int) -> tuple[bool, object]:
-    """Run job (check, index) of `_CHECKS`: (True, its result), or (False, what it raised).
-
-    What it raised comes back as its message, a string, because an exception
-    from outside sortlab may not survive the trip back from a worker.
-    """
+def _run_job(job: tuple[str, int], seed: int):
+    """Run job (check, index) of `_CHECKS` with the seed."""
     name, index = job
+    return _CHECKS[name][0][index](seed)
+
+
+def _attempt(run, job) -> tuple[bool, object]:
+    """(True, run(job)), or (False, the message of what it raised): unlike an
+    exception from outside sortlab, a message always survives the trip back from a worker."""
     try:
-        return True, _CHECKS[name][0][index](seed)
+        return True, run(job)
     except Exception as e:
         return False, str(e)
 
 
 def _job_results(run, jobs: list) -> list:
-    """``[run(job) for job in jobs]``, on every CPU this process may use.
+    """``[_attempt(run, job) for job in jobs]``, on every CPU this process may use.
 
     With more than one job and more than one CPU that this process may run
     on, the jobs run on a pool of forked workers, one per CPU, which starts
     them in the order given; otherwise they run here, one after another.
-    Either way the results are the same, and so is what the first job to
-    fail, in the order given, raises. The pool's modules are imported only
-    when a pool is used. Forked workers see the process as it is, patched
-    functions included.
+    Either way the results are the same. The pool's modules are imported
+    only when a pool is used. Forked workers see the process as it is,
+    patched functions included.
     """
+    attempt = functools.partial(_attempt, run)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else 1, len(jobs))
     if workers > 1:
@@ -400,11 +396,11 @@ def _job_results(run, jobs: list) -> list:
         if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        return list(map(run, jobs))
+        return list(map(attempt, jobs))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(run, jobs))
+        return list(pool.map(attempt, jobs))
 
 
 def _cmd_verify(args) -> int:

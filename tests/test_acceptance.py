@@ -101,7 +101,7 @@ def test_criterion_3_quicksort_worst_case():
 
 def test_criterion_4_auxiliary_space_accounting():
     """Aux peaks at n=4096 match each design; quicksort's claim-vs-depth gap is declared."""
-    rows = {r.algorithm: r for r in space_table(seed=0, n=4096, quick_trials=100)}
+    rows = {r.algorithm: r for r in space_table(seed=0)}
     A = AlgorithmId
     checks = {
         "uhs=0": rows[A.UHS].measured == 0,

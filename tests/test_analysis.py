@@ -23,12 +23,11 @@ from sortlab.analysis import (
     make_workload,
     reproduce_tables,
     run_sweep,
-    space_table,
-    stability_table,
     time_table,
     write_csv,
 )
 from sortlab.baseline_sorts import AlgorithmId, PivotRule
+from sortlab.instrumentation import SPECS
 from sortlab.uhs_sort import SortOrder
 
 
@@ -180,8 +179,28 @@ class TestRunSweep:
 
 
 @pytest.fixture(scope="module")
-def report():
-    return reproduce_tables(seed=0, stability_trials=500)
+def tables():
+    """The seed-0 tables, and the keys the space table first sorts with each algorithm."""
+    keys = {}
+    space_table, counted_sort = analysis.space_table, analysis.counted_sort
+
+    def spy(algorithm, elements, *args, **kw):
+        keys.setdefault(algorithm, list(elements))
+        return counted_sort(algorithm, elements, *args, **kw)
+
+    def spied_space_table(seed):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "counted_sort", spy)
+            return space_table(seed)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "space_table", spied_space_table)
+        return reproduce_tables(seed=0), keys
+
+
+@pytest.fixture(scope="module")
+def report(tables):
+    return tables[0]
 
 
 class TestTables:
@@ -223,7 +242,7 @@ class TestTables:
     def test_as_text_is_pinned(self, report):
         # every row, fit, budget and witness of the seed-0 tables, byte for byte
         digest = hashlib.sha256(report.as_text().encode()).hexdigest()
-        assert digest == "9240ccdca4fd1ff252725d8fb2e845cf60be2a166f69c99ccf81633b54ab39bd"
+        assert digest == "257476a86a0e0f3399434f280a00b987b3a2d28b0f22ad5fa9b0a7bfe70a2ecf"
 
     def test_size_ladders(self):
         assert FAST_SIZES[0] == 1024 and FAST_SIZES[-1] == 65536
@@ -278,28 +297,19 @@ class TestDynamic:
         assert (e.step, e.prefix, str(e)) == (3, [("push", 1)], "step 3: boom")
 
 
-def test_standalone_tables_agree_with_bundle():
-    # spot-check the pieces reproduce_tables composes
-    space = space_table(seed=0, n=256, quick_trials=5)
-    assert {r.algorithm for r in space} == set(AlgorithmId)
-    stab = stability_table(seed=0, trials=100)
-    assert all(r.ok for r in stab)
+def test_standalone_tables_agree_with_bundle(report):
+    # the space and stability parts reproduce_tables composes: one row per algorithm
+    assert [r.algorithm for r in report.space_rows] == list(SPECS)
+    assert [r.algorithm for r in report.stability_rows] == list(SPECS)
 
 
-def test_space_rows_meet_budgets_exactly_on_domain_keys(monkeypatch):
-    inputs = {}
-    real = analysis.counted_sort
-
-    def spy(algorithm, elements, *args, **kw):
-        inputs.setdefault(algorithm, list(elements))
-        return real(algorithm, elements, *args, **kw)
-
-    monkeypatch.setattr(analysis, "counted_sort", spy)
-    rows = space_table(seed=0, n=256, quick_trials=5)
-    aux_rows = [r for r in rows if r.metric == "aux slots"]
+def test_space_rows_meet_budgets_exactly_on_domain_keys(tables):
+    report, keys = tables
+    aux_rows = [r for r in report.space_rows if r.metric == "aux slots"]
     assert len(aux_rows) == len(AlgorithmId) - 1
     assert all(r.measured == r.budget and r.ok for r in aux_rows)
     # the radix row sorts n random 16-bit keys, not n copies of one key
-    radix_keys = inputs[AlgorithmId.RADIX]
+    radix_keys = keys[AlgorithmId.RADIX]
+    assert len(radix_keys) == 4096
     assert len(set(radix_keys)) > 1 and max(radix_keys) < 65536
-    assert all(0 <= k < 1 for k in inputs[AlgorithmId.BUCKET])
+    assert all(0 <= k < 1 for k in keys[AlgorithmId.BUCKET])

@@ -10,15 +10,25 @@ from pathlib import Path
 import pytest
 
 import sortlab
+import sortlab.analysis as analysis
 import sortlab.cli as cli
 import sortlab.heap_core as heap_core
 import sortlab.instrumentation as instrumentation
+from sortlab import AlgorithmId, Complexity, GrowthClass, StabilityVerdict
+from sortlab.analysis import SpaceRow, TimeRow
 from sortlab.cli import main, parse_sizes
 from sortlab.uhs_sort import SortOrder
 
 
 def _sorts_without_counting(a, order, counters=None):
     a.sort(reverse=order is SortOrder.DESCENDING)
+
+
+class Unrebuildable(Exception):
+    """An exception that pickle cannot rebuild from its ``args``."""
+
+    def __init__(self, n, what):
+        super().__init__(f"merge {what} {n} keys")
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -291,14 +301,18 @@ class TestBenchCommand:
         assert not other.is_alive()
         assert forks == 0 and code == 0 and len(out.splitlines()) == 1 + 2 * 2
 
+    @pytest.mark.parametrize("error", [
+        lambda n: ValueError(f"merge cannot sort {n} keys"),
+        lambda n: Unrebuildable(n, "cannot sort"),
+    ], ids=["picklable", "unrebuildable"])
     def test_a_sort_that_raises_in_a_cell_raises_the_same_serial_or_pooled(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, error
     ):
         # two cells raise; both runs report the same one, and a pooled run
-        # re-raises it in this process
+        # raises it in this process, even when it could not come back from a worker
         def merge_sort(a, order, counters=None):
             if len(a) in (32, 128):
-                raise ValueError(f"merge cannot sort {len(a)} keys")
+                raise error(len(a))
             a.sort(reverse=order is SortOrder.DESCENDING)
 
         argv = ["bench", "--algorithms", "all", "--sizes", "2^4..2^7"]
@@ -307,10 +321,11 @@ class TestBenchCommand:
             forks = []
             with monkeypatch.context() as m:
                 m.setattr(instrumentation, "merge_sort", merge_sort)
-                with pytest.raises(ValueError) as e:
+                with pytest.raises(Exception) as e:
                     run_on(cpus, capsys, monkeypatch, argv, forks)
             raised.append((type(e.value), str(e.value), len(forks)))
         assert raised[0][:2] == raised[1][:2]
+        assert raised[0][0] is type(error(0))
         assert raised[0][1] in ("merge cannot sort 32 keys", "merge cannot sort 128 keys")
         assert [forks for _, _, forks in raised] == [0, 2]
 
@@ -461,6 +476,29 @@ class TestVerifyCommand:
         code, out, _, _ = parallel
         assert code == 1
         assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
+
+    def test_tables_print_reproduce_tables_for_the_seed(self, capsys, monkeypatch):
+        # fast stand-ins for the three parts take the seed alone, and the
+        # space part fails: verify prints exactly reproduce_tables(seed)
+        fit = GrowthClass(Complexity.LINEAR, 0.0)
+        stubs = {
+            "time_table": lambda seed: [
+                TimeRow(AlgorithmId.RADIX, "all", f"seed {seed}", Complexity.LINEAR, fit)],
+            "space_table": lambda seed: [
+                SpaceRow(AlgorithmId.UHS, "O(1)", "aux slots", seed, 0, False)],
+            "stability_table": lambda seed: [StabilityVerdict(AlgorithmId.MERGE, True, seed)],
+        }
+        argv = ["verify", "--only", "tables", "--seed", "3"]
+        with monkeypatch.context() as m:
+            for name, stub in stubs.items():
+                m.setattr(analysis, name, stub)
+            text = analysis.reproduce_tables(3).as_text()
+            serial = run_on(1, capsys, monkeypatch, argv)
+            pooled = run_on(2, capsys, monkeypatch, argv)
+        expected = "tables: FAIL\n" + "".join(f"  {line}\n" for line in text.splitlines())
+        assert "seed 3" in text and "OVER" in text
+        assert serial == (1, expected, "", 0)
+        assert pooled == (1, expected, "", 2)
 
     @pytest.mark.parametrize("patch,checks,expected", [
         ((heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0)),
