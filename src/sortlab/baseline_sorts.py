@@ -163,9 +163,10 @@ def merge_sort(
     order: SortOrder = SortOrder.ASCENDING,
     counters: OpCounters | None = None,
 ) -> None:
-    """Stable top-down merge sort using one reusable scratch buffer of n slots.
+    """Stable top-down merge sort; each merge copies out only its left run.
 
-    The buffer is the only scratch allocation, so the auxiliary peak is exactly n.
+    A tail of it that outlasts the right run is trimmed and written back; with
+    the slots CPython's slice operations hold meanwhile, that stays within n.
     """
     n = len(elements)
     if n <= 1:
@@ -173,7 +174,6 @@ def merge_sort(
     asc = order is SortOrder.ASCENDING
     a = elements
     cmp = moves = peak = 0
-    buf = [None] * n
 
     def rec(lo: int, hi: int, depth: int) -> None:
         nonlocal cmp, moves, peak
@@ -184,8 +184,8 @@ def merge_sort(
         mid = (lo + hi) // 2
         rec(lo, mid, depth + 1)
         rec(mid, hi, depth + 1)
+        buf = a[lo:mid]
         width = mid - lo
-        buf[0:width] = a[lo:mid]
         # one comparison per element placed until either run runs out;
         # ties take the left run's element, which keeps the sort stable
         i = 0
@@ -209,18 +209,17 @@ def merge_sort(
                     if j == hi:
                         break
                     y = a[j]
-        except BaseException:
-            # the slots from k to j are stale; the left run's unplaced
-            # tail (j - k == width - i of them) belongs there
-            a[k:k + width - i] = buf[i:width]
-            raise
+        finally:
+            # the left run's unplaced tail belongs in the j - k == width - i
+            # slots from k: the last ones if the right run ran out first,
+            # stale ones if a comparison raised
+            if i < width:
+                del buf[:i]
+                a[k:j] = buf
         cmp += k - lo
-        if i < width:
-            a[k:hi] = buf[i:width]
-            k = hi
         # width moves into buf, then one write into each slot from lo to
-        # k; any right-run leftovers past k are already in place
-        moves += width + k - lo
+        # j; any right-run leftovers past j are already in place
+        moves += width + j - lo
 
     rec(0, n, 1)
     if counters is not None:
@@ -383,11 +382,11 @@ def radix_sort(
     There are as many passes as the largest key has bytes (at least one).
     Each pass runs a counting sort on one base-256 digit: tally digit
     occurrences into a counting array, turn tallies into starting offsets,
-    then place every element at its new position. Placements are the only
-    counted moves, so the total is exactly digits * n. The passes compare no
-    keys, but the domain scan before them compares every key twice
-    (``v < 0`` and ``v > top``, which finds the largest); those comparisons
-    are not counted.
+    then place every element, read from a copy that lives only while it is
+    placed (n + 256 slots in all). Placements are the only counted moves, so
+    the total is exactly digits * n. The passes compare no keys, but the
+    domain scan before them compares every key twice (``v < 0`` and
+    ``v > top``, which finds the largest); those comparisons are not counted.
     """
     n = len(elements)
     if n == 0:
@@ -406,10 +405,9 @@ def radix_sort(
     ascending = order is SortOrder.ASCENDING
 
     for p in range(digits):
-        src = elements[:]  # staging mirror; same positions, not a move
         counts = [0] * base
         div = base**p
-        for v in src:
+        for v in elements:
             counts[(v // div) % base] += 1
         # Tallies become each digit's first slot, past the keys of every digit
         # placed before it: the smaller ones ascending, the larger descending.
@@ -417,7 +415,7 @@ def radix_sort(
             counts = list(accumulate(counts[:-1], initial=0))
         else:  # n minus the keys whose digit is d or smaller
             counts = list(map(n.__sub__, accumulate(counts)))
-        for x in src:
+        for x in elements[:]:  # a copy that lives only while it is placed
             d = (x // div) % base
             elements[counts[d]] = x
             counts[d] += 1

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from sortlab.baseline_sorts import (
     radix_sort,
 )
 from sortlab.counting import OpCounters
+from sortlab.instrumentation import SPECS, KeyDomain, counted_sort
 from sortlab.uhs_sort import SortOrder
 
 
@@ -90,23 +92,6 @@ class TestBubble:
         got = xs[:]
         bubble_sort(got)
         assert got == sorted(xs)
-
-    def test_traced_peak_above_the_input_is_flat_in_n(self):
-        # "0 slots" in fact: a pass reads its slots through an iterator, not a
-        # copy, which would take 8 bytes a slot (8 KiB at n = 1024). Two full
-        # passes: the largest key walks to the end, then one pass swaps nothing.
-        bubble_sort([2, 1], counters=OpCounters())  # first-call allocations off the peak
-        peaks = []
-        for n in (1024, 4096):
-            a = [n, *range(n - 1)]
-            tracemalloc.start()
-            try:
-                bubble_sort(a, counters=OpCounters())
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert a == sorted(a)
-        assert max(peaks) <= 1024, peaks  # allowance: 1 KiB, whatever n is
 
 
 class TestMerge:
@@ -370,6 +355,49 @@ def test_trivial_sizes_cost_nothing(sort):
         c = OpCounters()
         sort(a, counters=c)
         assert c.as_dict() == OpCounters().as_dict()
+
+
+# What a sort may hold above its input beyond the slots it reports: frames,
+# loop counters and radix sort's 256 count ints. A copy of the input costs a
+# pointer a key, 32 KiB at n = 4096.
+TRACED_ALLOWANCE = 16 * 1024
+POINTER = struct.calcsize("P")
+
+
+@pytest.mark.parametrize("algorithm", [
+    pytest.param(a, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="bucket holds 13.1-13.9 words a key here (12.1-12.5 on random keys), "
+               "mostly its n bucket lists, against the 2n slots it reports"))
+    if a is AlgorithmId.BUCKET else a
+    for a in SPECS
+])
+def test_traced_peak_above_the_input_is_within_the_reported_slots(algorithm):
+    # tracemalloc sees every allocation the sort makes. The input is a
+    # permutation with its largest key first: bubble and insertion sort finish
+    # it in two passes, and merge sort reaches its n-slot peak on it, trimming
+    # all but the last key of the top merge's left run
+    floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+
+    def keys(n):
+        a = [n - 1, *range(n - 1)]
+        return [k / n for k in a] if floats else a
+
+    counted_sort(algorithm, keys(4))  # first-call allocations off the peak
+    peaks = []
+    for n in (512, 4096):
+        a = keys(n)
+        tracemalloc.start()
+        try:
+            _, counters = counted_sort(algorithm, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a == sorted(a)
+        assert peak <= counters.aux_peak_slots * POINTER + TRACED_ALLOWANCE, (n, peak)
+        peaks.append(peak)
+    if algorithm is AlgorithmId.UHS:  # O(1) space: flat across n
+        assert peaks[1] - peaks[0] < 256, peaks
 
 
 # Reference loops: the operator-based kernels the inline-comparison ones

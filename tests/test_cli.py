@@ -370,6 +370,13 @@ class TestStabilityCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 2
 
+    def test_readme_example_is_what_the_command_prints(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge,uhs"])
+        assert code == 0
+        example = "".join(f"# {line}\n" for line in out.splitlines())
+        assert "sortlab stability --algorithms merge,uhs\n" + example in readme, out
+
     def test_verdict_against_the_design_sets_exit_one(self, capsys, monkeypatch):
         # uhs sorts in order but reorders equal keys, so a merge that is uhs
         # is found unstable, which its design says it is not
@@ -500,22 +507,27 @@ class TestVerifyCommand:
         assert serial == (1, expected, "", 0)
         assert pooled == (1, expected, "", 2)
 
-    @pytest.mark.parametrize("patch,checks,expected", [
-        ((heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0)),
+    @pytest.mark.parametrize("patches,checks,expected", [
+        ([(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))],
          "build-cost,heap-invariants,differential",
          "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
          "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n"
          "differential: FAIL\n  trial 0: uhs asc missorted "),
-        ((instrumentation, "merge_sort", _sorts_without_counting),
+        # only the time part raises, and only what it raised is printed, so
+        # fast stand-ins take the space and stability parts' place
+        ([(instrumentation, "merge_sort", _sorts_without_counting),
+          (analysis, "space_table", lambda seed: []),
+          (analysis, "stability_table", lambda seed: [])],
          "tables", "tables: FAIL\n  costs must be strictly positive\n"),
     ], ids=["build-cost-raises", "tables-raises"])
-    def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch, patch, checks,
+    def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch, patches, checks,
                                                     expected):
         # build_cost_audit and growth_fit raise; verify reports what they
         # raised as the check's detail, on one CPU and on two alike
         argv = ["verify", "--only", checks]
         with monkeypatch.context() as m:
-            m.setattr(*patch)
+            for patch in patches:
+                m.setattr(*patch)
             serial = run_on(1, capsys, monkeypatch, argv)
             parallel = run_on(2, capsys, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
