@@ -1,6 +1,7 @@
 """Command-line front end: sort data, run benchmarks, probe stability, verify.
 
-Exit codes: 0 success, 1 a check or verdict failed, 2 bad usage or bad input.
+Exit codes: 0 success, 1 a check or verdict failed, 2 bad usage, bad input or
+an output that cannot be written (a failed ``-o`` write or a closed stdout).
 """
 
 from __future__ import annotations
@@ -438,7 +439,14 @@ def main(argv: list[str] | None = None) -> int:
         "stability": _cmd_stability,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; aim it at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -12,14 +12,14 @@ list but are unconstrained.
 Two hole-based kernels sift, each taking ``mx`` (True for a max-at-root
 heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 
-- ``_sift_down`` (``build``, ``Heap.sift_down``, ``Heap.remove_at``) is a
-  bottom-up sift after Wegener (TCS 118, 1993) and McDiarmid & Reed
-  (J. Algorithms 10, 1989). It walks the dominant-child path to a leaf with
-  one comparison per level that has two children, searches back up for the
-  deepest path node that strictly dominates the sifted element, then rotates
-  the element into place. It leaves the same arrangement and makes the same
-  writes as the classic top-down sift, and it writes nothing until every
-  comparison is done, so a comparison that raises leaves the list unchanged.
+- ``_sift_down`` (``build`` and ``Heap.remove_at``) is a bottom-up sift
+  after Wegener (TCS 118, 1993) and McDiarmid & Reed (J. Algorithms 10,
+  1989). It walks the dominant-child path to a leaf with one comparison per
+  level that has two children, searches back up for the deepest path node
+  that strictly dominates the sifted element, then rotates the element into
+  place. It leaves the same arrangement and makes the same writes as the
+  classic top-down sift, and it writes nothing until every comparison is
+  done, so a comparison that raises leaves the list unchanged.
 - ``_sift_leafward`` drains ``uhs_sort``'s extraction phase in one call:
   after Wegener's BOTTOM-UP-HEAPSORT, each extraction moves the root past
   the shrinking heap boundary, walks the hole it leaves to a leaf along the
@@ -191,18 +191,6 @@ class Heap:
         if self.heap_size == 0:
             raise EmptyHeapError("peek on empty heap")
         return self.elements[0]
-
-    def sift_down(self, i: int, counters: OpCounters | None = None) -> None:
-        """Restore the order invariant at ``i``, assuming both subtrees hold it.
-
-        Every comparison happens before anything moves, so a comparison that
-        raises leaves the heap exactly as it was.
-        """
-        if not 0 <= i < self.heap_size:
-            raise HeapIndexError(f"index {i} outside live heap of size {self.heap_size}")
-        cmp, moves = _sift_down(self.elements, self.heap_size, i, self._mx)
-        if counters is not None:
-            counters.add(comparisons=cmp, element_moves=moves)
 
     def push(self, x, counters: OpCounters | None = None) -> None:
         """Insert ``x`` into the first slack slot (appending one if none), climbing.

@@ -559,6 +559,25 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "2^4..2^5", "--algorithms", "uhs"],
+    ["stability", "--algorithms", "merge", "--trials", "10"],
+], ids=["bench", "stability"])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv):
+    # as in `sortlab bench | head -n 1`, but the reader is gone before the
+    # first write, so every write fails, buffered or not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "sortlab.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2, done.stderr
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -79,58 +79,34 @@ class TestIsHeap:
 
 class TestSiftDown:
     def test_single_level_left(self):
-        h = Heap([1, 5, 3])
-        c = OpCounters()
-        h.sift_down(0, c)
-        assert h.elements == [5, 1, 3]
+        a = [1, 5, 3]
         # one child moves up into the hole, then the held 1 lands: two writes
-        assert (c.comparisons, c.element_moves) == (2, 2)
+        assert _sift_down(a, 3, 0, True) == (2, 2)
+        assert a == [5, 1, 3]
 
     def test_single_level_right(self):
-        h = Heap([1, 2, 5])
-        c = OpCounters()
-        h.sift_down(0, c)
-        assert h.elements == [5, 2, 1]
-        assert (c.comparisons, c.element_moves) == (2, 2)
+        a = [1, 2, 5]
+        assert _sift_down(a, 3, 0, True) == (2, 2)
+        assert a == [5, 2, 1]
 
     def test_full_descent_costs_one_comparison_per_level_plus_one(self):
         a = [14 - i for i in range(15)]  # perfect max-heap
         a[0] = -1
-        h = Heap(a)
-        c = OpCounters()
-        h.sift_down(0, c)
-        assert is_heap(a)
         # one comparison per level down to the leaf and one that stops the
         # search back up at it; three children move up one level each, then
         # the held -1 lands
-        assert (c.comparisons, c.element_moves) == (4, 4)
+        assert _sift_down(a, 15, 0, True) == (4, 4)
+        assert is_heap(a)
 
     def test_equal_children_left_wins(self):
         a = [TaggedElement(0, 0), TaggedElement(7, 1), TaggedElement(7, 2)]
-        Heap(a).sift_down(0)
+        _sift_down(a, 3, 0, True)
         assert a[0].origin == 1
 
     def test_parent_tied_with_children_stays_put(self):
         a = [TaggedElement(7, 0), TaggedElement(7, 1), TaggedElement(3, 2)]
-        c = OpCounters()
-        Heap(a).sift_down(0, c)
+        assert _sift_down(a, 3, 0, True) == (2, 0)
         assert [t.origin for t in a] == [0, 1, 2]
-        assert (c.comparisons, c.element_moves) == (2, 0)
-
-    def test_out_of_range_rejected(self):
-        h = Heap([3, 1])
-        with pytest.raises(HeapIndexError):
-            h.sift_down(2)
-        with pytest.raises(HeapIndexError):
-            h.sift_down(-1)
-        h.heap_size = 0
-        with pytest.raises(HeapIndexError):
-            h.sift_down(0)
-
-    def test_counters_optional(self):
-        a = [1, 9, 2]
-        Heap(a).sift_down(0)
-        assert is_heap(a)
 
 
 def _top_down_sift(a, n, hole, gt):
@@ -181,12 +157,9 @@ class TestBottomUpSiftDown:
             ref[i] = got[i] = TaggedElement(rng.randint(0, n // 3 + 1), n)
             size = rng.randint(i + 1, n)
             ref_moves = _top_down_sift(ref, size, i, gt)
-            c = OpCounters()
-            h = Heap(got, order)
-            h.heap_size = size
-            h.sift_down(i, c)
+            _, moves = _sift_down(got, size, i, order is HeapOrder.MAX_AT_ROOT)
             assert [e.origin for e in got] == [e.origin for e in ref], (keys, i, size)
-            assert c.element_moves == ref_moves, (keys, i, size)
+            assert moves == ref_moves, (keys, i, size)
 
 
 class TestBuild:
@@ -538,7 +511,7 @@ class TestExceptionSafety:
     @pytest.mark.parametrize("run", [
         uhs_sort,
         build,
-        lambda a: Heap(a).sift_down(0),
+        lambda a: _sift_down(a, len(a), 0, True),
     ], ids=["uhs_sort", "build", "sift_down"])
     def test_raising_comparison_leaves_a_permutation(self, run):
         a = [3, "x", 1, 2]
@@ -611,7 +584,7 @@ class TestExceptionSafety:
             items = [Fuse(k, budget) for k in keys]
             a = items[:]
             try:
-                Heap(a).sift_down(0)
+                _sift_down(a, len(a), 0, True)
             except RuntimeError:
                 raised += 1
                 assert all(x is y for x, y in zip(a, items)), spend

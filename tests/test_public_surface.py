@@ -57,6 +57,8 @@ def test_public_surface_is_pinned():
     # no test-only hook is left in the library
     assert not [name for name in dir(heap_core) if name.startswith("_FAULT")]
     assert not hasattr(importlib.import_module("sortlab.uhs_sort"), "sorted_region_invariant")
+    # the sift-down kernel is reached only through `build` and `remove_at`
+    assert not hasattr(sortlab.Heap, "sift_down")
     # a stability verdict meets its design in `StabilityVerdict.ok` alone, and
     # a one-job verify check needs no identity verdict
     assert not hasattr(importlib.import_module("sortlab.analysis"), "StabilityRow")
