@@ -299,6 +299,19 @@ def cell_cost(algorithm: AlgorithmId, n: int) -> float:
     return next(g for kind, g in _MODELS if kind in expected)(max(n, 2))
 
 
+def _time_rows(index: int, seed: int) -> list[TimeRow]:
+    """The rows of ``_TIME_CASES[index]``, which share one fit."""
+    case = _TIME_CASES[index]
+    pts = []
+    for n in case.sizes:
+        sub = (seed * 1000003 + index + 1) * 1000003 + n
+        _, c = counted_sort(case.algorithm, case.source(n, sub), seed=sub, pivot=case.pivot)
+        pts.append((n, sum(getattr(c, name) for name in case.cost)))
+    fitted = growth_fit(pts)
+    return [TimeRow(case.algorithm, name, case.inputs, case.expected, fitted)
+            for name in case.cases]
+
+
 def time_table(seed: int = 0) -> list[TimeRow]:
     """Fit each algorithm's operation counts to a growth class.
 
@@ -306,19 +319,10 @@ def time_table(seed: int = 0) -> list[TimeRow]:
     large one. Radix keys stay below 2^16 so the digit count is pinned at
     two and the move total is exactly 2n -- linear once d and k are fixed.
     """
-    rows: list[TimeRow] = []
-    for tag, case in enumerate(_TIME_CASES, 1):
-        pts = []
-        for n in case.sizes:
-            sub = (seed * 1000003 + tag) * 1000003 + n
-            _, c = counted_sort(case.algorithm, case.source(n, sub), seed=sub, pivot=case.pivot)
-            pts.append((n, sum(getattr(c, name) for name in case.cost)))
-        fitted = growth_fit(pts)
-        rows.extend(TimeRow(case.algorithm, name, case.inputs, case.expected, fitted)
-                    for name in case.cases)
-    return rows
+    return _table("time", seed)
 
 
+_SPACE_N, _QUICK_TRIALS = 4096, 100
 _QUICK_SPACE_NOTE = (
     "claimed figure budgets stack words across the whole recursion tree; "
     "recursing into the smaller side first keeps the live depth logarithmic, "
@@ -326,50 +330,62 @@ _QUICK_SPACE_NOTE = (
 )
 
 
-def space_table(seed: int = 0) -> list[SpaceRow]:
-    """Peak auxiliary usage per algorithm at n = 4096.
-
-    Every row but quicksort's meters scratch slots on keys from the
-    algorithm's domain, and must hit its ``SPECS`` budget exactly. Quicksort
-    allocates no buffers, so its row tracks peak recursion depth over 100
-    seeded runs against a 2*log2(n) budget -- deliberately tighter than the
-    claimed linearithmic envelope; the note explains the gap.
-    """
-    n, quick_trials = 4096, 100
-    log2n = int(math.log2(n))
-    R, U = Distribution.RANDOM_SEEDED, Distribution.UNIFORM01
-    keys = {
-        KeyDomain.COMPARABLE: generate_input(R, n, _subseed(seed, n, R, 0)),
-        KeyDomain.UNIT_FLOAT: generate_input(U, n, _subseed(seed, n, U, 0)),
-        KeyDomain.NONNEG_INT: draws_below(random.Random(_subseed(seed, n, R, 1)), 65536, n),
-    }
-
-    depth = quick_aux = 0
-    for t in range(quick_trials):
-        sub = _subseed(seed, n, R, t)
-        _, c = counted_sort(AlgorithmId.QUICK, generate_input(R, n, sub), seed=sub,
+def _quick_peaks(trials: range, seed: int) -> tuple[int, int]:
+    """Quicksort's peak recursion depth and auxiliary slots over some of its space trials."""
+    R, depth, aux = Distribution.RANDOM_SEEDED, 0, 0
+    for t in trials:
+        sub = _subseed(seed, _SPACE_N, R, t)
+        _, c = counted_sort(AlgorithmId.QUICK, generate_input(R, _SPACE_N, sub), seed=sub,
                             pivot=PivotRule.RANDOM_SEEDED)
-        depth = max(depth, c.recursion_peak)
-        quick_aux = max(quick_aux, c.aux_peak_slots)
+        depth, aux = max(depth, c.recursion_peak), max(aux, c.aux_peak_slots)
+    return depth, aux
 
+
+def _slot_rows() -> list[SpaceRow]:
+    """The space rows of every algorithm but quicksort, metered on the witness."""
+    n = _SPACE_N
+    witness = [n - 1, *range(n - 1)]
     rows = []
     for algorithm, spec in SPECS.items():
-        budget = spec.aux_budget(n)
-        if algorithm is AlgorithmId.QUICK:
-            ok = depth <= 2 * log2n and quick_aux == budget
-            metric = f"recursion depth, max of {quick_trials} runs"
-            rows.append(SpaceRow(algorithm, spec.space, metric, depth, 2 * log2n, ok,
-                                 note=_QUICK_SPACE_NOTE))
-        else:
-            _, c = counted_sort(algorithm, keys[spec.keys][:], seed=seed)
-            m = c.aux_peak_slots
+        if algorithm is not AlgorithmId.QUICK:
+            keys = [k / n for k in witness] if spec.keys is KeyDomain.UNIT_FLOAT else witness[:]
+            m, budget = counted_sort(algorithm, keys)[1].aux_peak_slots, spec.aux_budget(n)
             rows.append(SpaceRow(algorithm, spec.space, "aux slots", m, budget, m == budget))
     return rows
 
 
+def _space_rows(results: Sequence) -> list[SpaceRow]:
+    """The space table from its parts: quicksort's trial chunks, then `_slot_rows`."""
+    *chunks, rows = results
+    depth, aux = map(max, zip(*chunks))
+    log2n, spec = int(math.log2(_SPACE_N)), SPECS[AlgorithmId.QUICK]
+    ok = depth <= 2 * log2n and aux == spec.aux_budget(_SPACE_N)
+    metric = f"recursion depth, max of {_QUICK_TRIALS} runs"
+    quick = SpaceRow(AlgorithmId.QUICK, spec.space, metric, depth, 2 * log2n, ok,
+                     note=_QUICK_SPACE_NOTE)
+    at = list(SPECS).index(AlgorithmId.QUICK)
+    return [*rows[:at], quick, *rows[at:]]
+
+
+def space_table(seed: int = 0) -> list[SpaceRow]:
+    """Peak auxiliary usage per algorithm at n = 4096.
+
+    Every row but quicksort's meters scratch slots on the witness input
+    ``[n-1, *range(n-1)]`` (scaled by 1/n for bucket sort's [0, 1) keys), and
+    must hit its ``SPECS`` budget exactly. A sort reports the same peak for
+    any n keys -- merge n, bucket 2n, radix n + 256, the in-place sorts none
+    -- so this input loses nothing, and bubble and insertion sort finish it
+    in two passes; random keys still run through every sort in `time_table`.
+    Quicksort allocates no buffers, so its row tracks peak recursion depth
+    over 100 seeded runs against a 2*log2(n) budget -- deliberately tighter
+    than the claimed linearithmic envelope; the note explains the gap.
+    """
+    return _table("space", seed)
+
+
 def stability_table(seed: int = 0) -> list[StabilityVerdict]:
     """`stability_check` with 2,000 random trials per algorithm; ``ok`` is against ``SPECS``."""
-    return [stability_check(alg, trials=2000, seed=seed) for alg in SPECS]
+    return _table("stability", seed)
 
 
 @dataclass(frozen=True)
@@ -414,13 +430,40 @@ class TableReport:
         return "\n".join(lines)
 
 
+# Each table's independent parts, and the function that makes its rows from
+# their results in order. A part is a function of the seed alone that looks
+# its work up by name when it runs, so a patched or wrapped function runs.
+_TABLES: dict[str, tuple[list[Callable[[int], object]], Callable]] = {
+    "time": ([lambda seed, i=i: _time_rows(i, seed) for i in range(len(_TIME_CASES))],
+             lambda results: [row for rows in results for row in rows]),
+    "space": ([*(lambda seed, t=t: _quick_peaks(range(t, t + 25), seed)
+                 for t in range(0, _QUICK_TRIALS, 25)), lambda seed: _slot_rows()],
+              _space_rows),
+    "stability": ([lambda seed, a=a: stability_check(a, trials=2000, seed=seed) for a in SPECS],
+                  list),
+}
+# Every table's parts, the long ones first: verify's `tables` jobs.
+TABLE_PARTS = tuple(part for parts, _ in _TABLES.values() for part in parts)
+
+
+def _table(name: str, seed: int) -> list:
+    """One table's rows, from its parts run here one after another."""
+    parts, rows = _TABLES[name]
+    return rows([part(seed) for part in parts])
+
+
+def assemble_tables(results: Sequence) -> TableReport:
+    """The `TableReport` that the results of `TABLE_PARTS`, in their order, make up."""
+    tables, start = [], 0
+    for parts, rows in _TABLES.values():
+        tables.append(rows(results[start:start + len(parts)]))
+        start += len(parts)
+    return TableReport(*tables)
+
+
 def reproduce_tables(seed: int = 0) -> TableReport:
     """Measure everything and assemble the three summary tables: verify's ``tables`` check."""
-    return TableReport(
-        time_rows=time_table(seed),
-        space_rows=space_table(seed),
-        stability_rows=stability_table(seed),
-    )
+    return assemble_tables([part(seed) for part in TABLE_PARTS])
 
 
 class DifferentialError(Exception):

@@ -17,7 +17,6 @@ from pathlib import Path
 from . import analysis
 from .analysis import (
     Distribution,
-    TableReport,
     cell_cost,
     dynamic_scenario,
     make_workload,
@@ -58,7 +57,10 @@ def _size_item(token: str) -> int:
 
 
 def parse_sizes(text: str) -> list[int]:
-    """Accept '2^8..2^11' (doubling ladder) or a comma list like '100,200,2^10'."""
+    """Accept '2^8..2^11' (doubling ladder) or a comma list like '100,200,2^10'.
+
+    A size listed twice is kept once, in its first place.
+    """
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -74,7 +76,7 @@ def parse_sizes(text: str) -> list[int]:
         sizes = [_size_item(t) for t in text.split(",") if t.strip()]
         if not sizes:
             raise ValueError("no sizes given")
-        return sizes
+        return list(dict.fromkeys(sizes))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -91,7 +93,7 @@ def _csv_list(valid: list[str], what: str):
                 )
         if not items:
             raise argparse.ArgumentTypeError(f"no {what} given")
-        return items
+        return list(dict.fromkeys(items))  # an item named twice counts once
 
     return parse
 
@@ -241,9 +243,9 @@ def _cmd_bench(args) -> int:
     if int_only and Distribution.UNIFORM01 in distributions:
         names = ",".join(a.value for a in int_only)
         print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
-    # The distinct cells, costliest first, dealt round-robin into at most 32
-    # tasks: few pool round trips, and no task holds more than ceil(cells / 32).
-    ranked = sorted(dict.fromkeys(cells), key=lambda c: cell_cost(c[0], c[1]), reverse=True)
+    # The cells, costliest first, dealt round-robin into at most 32 tasks:
+    # few pool round trips, and no task holds more than ceil(cells / 32).
+    ranked = sorted(cells, key=lambda c: cell_cost(c[0], c[1]), reverse=True)
     tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
     run = functools.partial(_sweep_task, options=dict(
         trials=args.trials, seed=args.seed, order=_ORDERS[args.order], pivot=PivotRule(args.pivot)
@@ -338,13 +340,8 @@ def _check_dynamic(seed: int) -> tuple[bool, list[str]]:
     return report.ok, [line]
 
 
-def _table_rows(table: str, seed: int):
-    """``analysis.<table>(seed)``, looked up when the job runs so that a wrapped table runs."""
-    return getattr(analysis, table)(seed)
-
-
-def _tables(time_rows, space_rows, stability_rows) -> tuple[bool, list[str]]:
-    report = TableReport(time_rows, space_rows, stability_rows)
+def _tables(*results) -> tuple[bool, list[str]]:
+    report = analysis.assemble_tables(results)
     return report.ok, report.as_text().splitlines()
 
 
@@ -356,8 +353,7 @@ _CHECKS = {
     "heap-invariants": ((_check_heap_invariants,), None),
     "differential": ((_check_differential,), None),
     "dynamic": ((_check_dynamic,), None),
-    "tables": (tuple(functools.partial(_table_rows, table)
-                     for table in ("time_table", "space_table", "stability_table")), _tables),
+    "tables": (analysis.TABLE_PARTS, _tables),
 }
 
 
@@ -406,7 +402,7 @@ def _job_results(run, jobs: list) -> list:
 
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
-    jobs = [(name, i) for name in dict.fromkeys(names) for i in range(len(_CHECKS[name][0]))]
+    jobs = [(name, i) for name in names for i in range(len(_CHECKS[name][0]))]
     results = dict(zip(jobs, _job_results(functools.partial(_run_job, seed=args.seed), jobs)))
     all_ok = True
     for name in names:

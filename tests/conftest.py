@@ -3,12 +3,16 @@
 The acceptance tests funnel their verdicts through `record_criterion` so a
 plain `pytest` run ends with one visible PASS/FAIL line per criterion even
 under output capture. The kernel tests follow equal keys through
-`TaggedElement` and compare comparison logs through `Recorded`.
+`TaggedElement` and compare comparison logs through `Recorded`. The
+`reproduced_tables` fixture measures each seed's tables once per session.
 """
 
+import functools
 import operator
 
 import pytest
+
+from sortlab.analysis import reproduce_tables
 
 _criterion_lines: list[str] = []
 
@@ -27,6 +31,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def reproduced_tables():
+    """`reproduce_tables` by seed, each seed measured once a session."""
+    return functools.cache(reproduce_tables)
 
 
 class Recorded:

@@ -21,13 +21,12 @@ from sortlab.analysis import (
     generate_input,
     growth_fit,
     make_workload,
-    reproduce_tables,
     run_sweep,
     time_table,
     write_csv,
 )
 from sortlab.baseline_sorts import AlgorithmId, PivotRule
-from sortlab.instrumentation import SPECS
+from sortlab.instrumentation import SPECS, KeyDomain, counted_sort, draws_below
 from sortlab.uhs_sort import SortOrder
 
 
@@ -179,23 +178,18 @@ class TestRunSweep:
 
 
 @pytest.fixture(scope="module")
-def tables():
-    """The seed-0 tables, and the keys the space table first sorts with each algorithm."""
+def tables(reproduced_tables):
+    """The seed-0 tables, and the keys their space rows sort with each algorithm but quick."""
     keys = {}
-    space_table, counted_sort = analysis.space_table, analysis.counted_sort
 
     def spy(algorithm, elements, *args, **kw):
         keys.setdefault(algorithm, list(elements))
         return counted_sort(algorithm, elements, *args, **kw)
 
-    def spied_space_table(seed):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(analysis, "counted_sort", spy)
-            return space_table(seed)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(analysis, "space_table", spied_space_table)
-        return reproduce_tables(seed=0), keys
+        m.setattr(analysis, "counted_sort", spy)
+        analysis._slot_rows()
+    return reproduced_tables(0), keys
 
 
 @pytest.fixture(scope="module")
@@ -308,8 +302,27 @@ def test_space_rows_meet_budgets_exactly_on_domain_keys(tables):
     aux_rows = [r for r in report.space_rows if r.metric == "aux slots"]
     assert len(aux_rows) == len(AlgorithmId) - 1
     assert all(r.measured == r.budget and r.ok for r in aux_rows)
-    # the radix row sorts n random 16-bit keys, not n copies of one key
+    # the radix row sorts the witness, n distinct 16-bit keys, not n copies of one key
     radix_keys = keys[AlgorithmId.RADIX]
     assert len(radix_keys) == 4096
     assert len(set(radix_keys)) > 1 and max(radix_keys) < 65536
     assert all(0 <= k < 1 for k in keys[AlgorithmId.BUCKET])
+
+
+@pytest.mark.parametrize("algorithm", [a for a in SPECS if a is not AlgorithmId.QUICK])
+def test_space_self_report_is_the_same_on_random_keys_and_on_the_witness(algorithm):
+    # the space rows meter these sorts on the witness alone, which holds
+    # only while a sort's reported peak does not depend on its keys
+    domain = SPECS[algorithm].keys
+    for n in (512, 4096):
+        witness = [n - 1, *range(n - 1)]
+        if domain is KeyDomain.UNIT_FLOAT:
+            witness = [k / n for k in witness]
+            keys = generate_input(Distribution.UNIFORM01, n, seed=n)
+        elif domain is KeyDomain.NONNEG_INT:
+            keys = draws_below(random.Random(n), 65536, n)
+        else:
+            keys = generate_input(Distribution.RANDOM_SEEDED, n, seed=n)
+        random_peak = counted_sort(algorithm, keys)[1].aux_peak_slots
+        assert random_peak == counted_sort(algorithm, witness)[1].aux_peak_slots, n
+        assert len(set(keys)) > n // 2  # random keys, not a sorted run or one key repeated

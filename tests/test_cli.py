@@ -59,6 +59,12 @@ def run_on(cpus, capsys, monkeypatch, argv, forks=None):
     return code, out, err, len(forks)
 
 
+def _merge_time_rows_only(index, seed, time_rows=analysis._time_rows):
+    """Merge sort's time rows as measured, and none for any other algorithm."""
+    merge = analysis._TIME_CASES[index].algorithm is AlgorithmId.MERGE
+    return time_rows(index, seed) if merge else []
+
+
 def _without_wall_nanos(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
 
@@ -71,6 +77,9 @@ class TestParseSizes:
     def test_comma_list(self):
         assert parse_sizes("100,200,2^10") == [100, 200, 1024]
         assert parse_sizes("7") == [7]
+
+    def test_a_size_listed_twice_is_kept_once_in_its_first_place(self):
+        assert parse_sizes("2^10,8,1024,8") == [1024, 8]
 
     def test_rejects_garbage(self):
         import argparse
@@ -271,6 +280,14 @@ class TestBenchCommand:
         code, _, _ = run_cli(capsys, ["bench", "--algorithms", "uhs,warp"])
         assert code == 2
 
+    def test_an_algorithm_or_size_named_twice_is_one_row(self, capsys):
+        # two rows for one cell would share one measurement's wall_nanos
+        code, out, _ = run_cli(capsys, ["bench", "--algorithms", "uhs,merge,uhs",
+                                        "--sizes", "8,16,8"])
+        assert code == 0
+        cells = [",".join(line.split(",")[:2]) for line in out.splitlines()[1:]]
+        assert cells == ["uhs,8", "uhs,16", "merge,8", "merge,16"]
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--trials", "0", "--algorithms", "uhs",
                                         "--sizes", "16"])
@@ -370,6 +387,12 @@ class TestStabilityCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 2
 
+    def test_an_algorithm_named_twice_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "uhs,merge,uhs",
+                                        "--trials", "10"])
+        assert code == 0
+        assert out == "uhs: UNSTABLE witness=[0, 0]\nmerge: STABLE(trials=1087)\n"
+
     def test_readme_example_is_what_the_command_prints(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge,uhs"])
@@ -440,7 +463,7 @@ class TestVerifyCommand:
             f"{name}: PASS" for name in ("build-cost", "heap-invariants", "differential", "dynamic")
         ]
 
-    def test_a_check_named_twice_runs_once_and_prints_twice(self, capsys, monkeypatch):
+    def test_a_check_named_twice_runs_and_prints_once(self, capsys, monkeypatch):
         dynamic_scenario, calls = cli.dynamic_scenario, []
 
         def counting(ops):
@@ -455,7 +478,7 @@ class TestVerifyCommand:
         assert len(calls) == 1
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3] == (
-            0, "dynamic: PASS\nbuild-cost: PASS\ndynamic: PASS\n", "")
+            0, "dynamic: PASS\nbuild-cost: PASS\n", "")
 
     def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
         release = threading.Event()
@@ -485,15 +508,18 @@ class TestVerifyCommand:
         assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
 
     def test_tables_print_reproduce_tables_for_the_seed(self, capsys, monkeypatch):
-        # fast stand-ins for the three parts take the seed alone, and the
-        # space part fails: verify prints exactly reproduce_tables(seed)
+        # fast stand-ins for the work of the parts take the seed, and the
+        # space rows fail: verify prints exactly reproduce_tables(seed)
         fit = GrowthClass(Complexity.LINEAR, 0.0)
         stubs = {
-            "time_table": lambda seed: [
-                TimeRow(AlgorithmId.RADIX, "all", f"seed {seed}", Complexity.LINEAR, fit)],
-            "space_table": lambda seed: [
-                SpaceRow(AlgorithmId.UHS, "O(1)", "aux slots", seed, 0, False)],
-            "stability_table": lambda seed: [StabilityVerdict(AlgorithmId.MERGE, True, seed)],
+            "_time_rows": lambda index, seed: [
+                TimeRow(AlgorithmId.RADIX, "all", f"seed {seed} case {index}",
+                        Complexity.LINEAR, fit)],
+            "_quick_peaks": lambda trials, seed: (trials.start + seed, 0),
+            "_slot_rows": lambda: [
+                SpaceRow(AlgorithmId.UHS, "O(1)", "aux slots", 1, 0, False)],
+            "stability_check": lambda algorithm, trials, seed: StabilityVerdict(
+                algorithm, True, seed),
         }
         argv = ["verify", "--only", "tables", "--seed", "3"]
         with monkeypatch.context() as m:
@@ -513,11 +539,13 @@ class TestVerifyCommand:
          "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
          "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n"
          "differential: FAIL\n  trial 0: uhs asc missorted "),
-        # only the time part raises, and only what it raised is printed, so
-        # fast stand-ins take the space and stability parts' place
+        # only merge's time part raises, and only what it raised is printed,
+        # so fast stand-ins take the other parts' place
         ([(instrumentation, "merge_sort", _sorts_without_counting),
-          (analysis, "space_table", lambda seed: []),
-          (analysis, "stability_table", lambda seed: [])],
+          (analysis, "_time_rows", _merge_time_rows_only),
+          (analysis, "_quick_peaks", lambda trials, seed: (0, 0)),
+          (analysis, "_slot_rows", lambda: []),
+          (analysis, "stability_check", lambda algorithm, trials, seed: None)],
          "tables", "tables: FAIL\n  costs must be strictly positive\n"),
     ], ids=["build-cost-raises", "tables-raises"])
     def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch, patches, checks,
@@ -536,6 +564,28 @@ class TestVerifyCommand:
         assert code == 1 and err == ""
         assert out.startswith(expected)
         assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch, seed,
+                                                         reproduced_tables):
+    # the tables check runs the parts as jobs, serial or pooled, and puts
+    # together the very report reproduce_tables(seed) makes
+    expected = reproduced_tables(seed).as_text()
+    assemble, texts = analysis.assemble_tables, []
+
+    def spy(results):
+        report = assemble(results)
+        texts.append(report.as_text())
+        return report
+
+    monkeypatch.setattr(analysis, "assemble_tables", spy)
+    argv = ["verify", "--only", "tables", "--seed", str(seed)]
+    serial = run_on(1, capsys, monkeypatch, argv)
+    pooled = run_on(2, capsys, monkeypatch, argv)
+    assert serial == (0, "tables: PASS\n", "", 0)
+    assert pooled == (0, "tables: PASS\n", "", 2)
+    assert texts == [expected, expected]
 
 
 def test_every_verify_check_has_a_job_and_a_verdict_for_several():
