@@ -253,7 +253,6 @@ class _TimeCase(NamedTuple):
     cases: tuple[str, ...]  # one table row per name, all sharing this fit
     inputs: str
     expected: Complexity
-    sizes: list[int]
     source: Callable[[int, int], list]  # (n, seed) -> the keys to sort
     cost: tuple[str, ...] = ("comparisons",)  # the counters summed into the fitted cost
     pivot: PivotRule = PivotRule.RANDOM_SEEDED
@@ -270,21 +269,19 @@ _MIXED = ("comparisons", "element_moves")
 
 # A case's 1-based position seeds its inputs, so a new case goes at the end.
 _TIME_CASES = (
-    _TimeCase(_A.INSERTION, ("worst",), "reversed", _C.QUADRATIC, QUAD_SIZES, _rev),
-    _TimeCase(_A.INSERTION, ("average",), "random", _C.QUADRATIC, QUAD_SIZES, _rnd),
-    _TimeCase(_A.MERGE, ("worst", "average"), "random", _C.LINEARITHMIC, FAST_SIZES, _rnd),
-    _TimeCase(_A.QUICK, ("worst",), "sorted, last-element pivot", _C.QUADRATIC, QUAD_SIZES,
-              _srt, pivot=PivotRule.LAST_ELEMENT),
-    _TimeCase(_A.QUICK, ("expected",), "random, seeded pivot", _C.LINEARITHMIC, FAST_SIZES,
-              _rnd),
-    _TimeCase(_A.BUCKET, ("worst",), "single-bucket cluster", _C.QUADRATIC, QUAD_SIZES,
-              _clustered, _MIXED),
-    _TimeCase(_A.BUCKET, ("average",), "uniform01", _C.LINEAR, FAST_SIZES, _uni, _MIXED),
-    _TimeCase(_A.RADIX, ("all",), "random keys < 2^16", _C.LINEAR, FAST_SIZES,
+    _TimeCase(_A.INSERTION, ("worst",), "reversed", _C.QUADRATIC, _rev),
+    _TimeCase(_A.INSERTION, ("average",), "random", _C.QUADRATIC, _rnd),
+    _TimeCase(_A.MERGE, ("worst", "average"), "random", _C.LINEARITHMIC, _rnd),
+    _TimeCase(_A.QUICK, ("worst",), "sorted, last-element pivot", _C.QUADRATIC, _srt,
+              pivot=PivotRule.LAST_ELEMENT),
+    _TimeCase(_A.QUICK, ("expected",), "random, seeded pivot", _C.LINEARITHMIC, _rnd),
+    _TimeCase(_A.BUCKET, ("worst",), "single-bucket cluster", _C.QUADRATIC, _clustered, _MIXED),
+    _TimeCase(_A.BUCKET, ("average",), "uniform01", _C.LINEAR, _uni, _MIXED),
+    _TimeCase(_A.RADIX, ("all",), "random keys < 2^16", _C.LINEAR,
               lambda n, s: draws_below(random.Random(s), 65536, n), ("element_moves",)),
-    _TimeCase(_A.BUBBLE, ("worst",), "reversed", _C.QUADRATIC, QUAD_SIZES, _rev),
-    _TimeCase(_A.BUBBLE, ("average",), "random", _C.QUADRATIC, QUAD_SIZES, _rnd),
-    _TimeCase(_A.UHS, ("worst", "average"), "random", _C.LINEARITHMIC, FAST_SIZES, _rnd),
+    _TimeCase(_A.BUBBLE, ("worst",), "reversed", _C.QUADRATIC, _rev),
+    _TimeCase(_A.BUBBLE, ("average",), "random", _C.QUADRATIC, _rnd),
+    _TimeCase(_A.UHS, ("worst", "average"), "random", _C.LINEARITHMIC, _rnd),
 )
 
 
@@ -303,7 +300,7 @@ def _time_rows(index: int, seed: int) -> list[TimeRow]:
     """The rows of ``_TIME_CASES[index]``, which share one fit."""
     case = _TIME_CASES[index]
     pts = []
-    for n in case.sizes:
+    for n in QUAD_SIZES if case.expected is Complexity.QUADRATIC else FAST_SIZES:
         sub = (seed * 1000003 + index + 1) * 1000003 + n
         _, c = counted_sort(case.algorithm, case.source(n, sub), seed=sub, pivot=case.pivot)
         pts.append((n, sum(getattr(c, name) for name in case.cost)))

@@ -27,7 +27,9 @@ heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 
 The priority-queue operations run their own loops inline, so that each
 costs one call: ``Heap.push`` and ``Heap.remove_at`` climb, and
-``Heap.pop_root`` runs one leafward extraction. Each climb moves every
+``Heap.pop_root`` runs one leafward extraction, its own copy of
+``_sift_leafward``'s loop, because sharing one loop measured 3-15% slower
+on both the sort and the priority queue. Each climb moves every
 ancestor it passes down a level as it goes; a comparison that raises moves
 them back, so a failed operation leaves the heap exactly as it was.
 

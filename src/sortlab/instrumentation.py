@@ -37,18 +37,6 @@ from .counting import OpCounters
 from .heap_core import build, is_heap
 from .uhs_sort import SortOrder, uhs_sort
 
-__all__ = [
-    "OpCounters",
-    "KeyDomain",
-    "AlgorithmSpec",
-    "SPECS",
-    "StabilityVerdict",
-    "BuildCostRow",
-    "counted_sort",
-    "sort_fault",
-    "stability_check",
-    "build_cost_audit",
-]
 
 class KeyDomain(Enum):
     """The keys an algorithm accepts."""

@@ -291,8 +291,8 @@ class TestDynamic:
         assert (e.step, e.prefix, str(e)) == (3, [("push", 1)], "step 3: boom")
 
 
-def test_standalone_tables_agree_with_bundle(report):
-    # the space and stability parts reproduce_tables composes: one row per algorithm
+def test_space_and_stability_rows_follow_specs_order(report):
+    # one row per algorithm, in SPECS order
     assert [r.algorithm for r in report.space_rows] == list(SPECS)
     assert [r.algorithm for r in report.stability_rows] == list(SPECS)
 

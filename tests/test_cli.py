@@ -569,8 +569,10 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch, seed,
                                                          reproduced_tables):
-    # the tables check runs the parts as jobs, serial or pooled, and puts
-    # together the very report reproduce_tables(seed) makes
+    # the pooled tables check runs the parts as jobs and puts together the
+    # very report reproduce_tables(seed) makes; a serial run is
+    # reproduce_tables(seed) itself, so its plumbing is checked on stubs in
+    # test_tables_print_reproduce_tables_for_the_seed
     expected = reproduced_tables(seed).as_text()
     assemble, texts = analysis.assemble_tables, []
 
@@ -581,11 +583,8 @@ def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch, s
 
     monkeypatch.setattr(analysis, "assemble_tables", spy)
     argv = ["verify", "--only", "tables", "--seed", str(seed)]
-    serial = run_on(1, capsys, monkeypatch, argv)
-    pooled = run_on(2, capsys, monkeypatch, argv)
-    assert serial == (0, "tables: PASS\n", "", 0)
-    assert pooled == (0, "tables: PASS\n", "", 2)
-    assert texts == [expected, expected]
+    assert run_on(2, capsys, monkeypatch, argv) == (0, "tables: PASS\n", "", 2)
+    assert texts == [expected]
 
 
 def test_every_verify_check_has_a_job_and_a_verdict_for_several():
