@@ -1,8 +1,9 @@
 """Empirical growth analysis: sweeps, curve fitting, and summary tables.
 
-The centerpiece is `reproduce_tables`, which measures every algorithm and
-renders three summaries -- complexity growth, auxiliary space, stability --
-each row checked against the class the algorithm is supposed to exhibit.
+Three summary tables -- complexity growth, auxiliary space, stability --
+check each algorithm against the class it is supposed to exhibit. ``sortlab
+verify`` runs their parts, `TABLE_PARTS`, as jobs and puts the results
+together with `assemble_tables`; `reproduce_tables` does the same serially.
 `dynamic_scenario` runs a mixed push/pop/remove workload against a sorted-list
 oracle to show where a heap earns its keep.
 """
@@ -439,7 +440,7 @@ _TABLES: dict[str, tuple[list[Callable[[int], object]], Callable]] = {
     "stability": ([lambda seed, a=a: stability_check(a, trials=2000, seed=seed) for a in SPECS],
                   list),
 }
-# Every table's parts, the long ones first: verify's `tables` jobs.
+# verify's `tables` jobs: the tables' parts in report order, the short stability parts last.
 TABLE_PARTS = tuple(part for parts, _ in _TABLES.values() for part in parts)
 
 
@@ -449,13 +450,10 @@ def _table(name: str, seed: int) -> list:
     return rows([part(seed) for part in parts])
 
 
-def assemble_tables(results: Sequence) -> TableReport:
+def assemble_tables(results: Iterable) -> TableReport:
     """The `TableReport` that the results of `TABLE_PARTS`, in their order, make up."""
-    tables, start = [], 0
-    for parts, rows in _TABLES.values():
-        tables.append(rows(results[start:start + len(parts)]))
-        start += len(parts)
-    return TableReport(*tables)
+    results = iter(results)
+    return TableReport(*(rows([next(results) for _ in parts]) for parts, rows in _TABLES.values()))
 
 
 def reproduce_tables(seed: int = 0) -> TableReport:

@@ -340,19 +340,23 @@ def _check_dynamic(seed: int) -> tuple[bool, list[str]]:
     return report.ok, [line]
 
 
+def _as_is(result: tuple[bool, list[str]]) -> tuple[bool, list[str]]:
+    """A one-job check's verdict: its job's (ok, detail lines)."""
+    return result
+
+
 def _tables(*results) -> tuple[bool, list[str]]:
     report = analysis.assemble_tables(results)
     return report.ok, report.as_text().splitlines()
 
 
 # Each check: the independent jobs it runs, each called with the seed, and
-# the function that makes the check's (ok, detail lines) from their results;
-# a one-job check without one passes its job's (ok, detail lines) through.
+# the function that makes the check's (ok, detail lines) from their results.
 _CHECKS = {
-    "build-cost": ((_check_build_cost,), None),
-    "heap-invariants": ((_check_heap_invariants,), None),
-    "differential": ((_check_differential,), None),
-    "dynamic": ((_check_dynamic,), None),
+    "build-cost": ((_check_build_cost,), _as_is),
+    "heap-invariants": ((_check_heap_invariants,), _as_is),
+    "differential": ((_check_differential,), _as_is),
+    "dynamic": ((_check_dynamic,), _as_is),
     "tables": (analysis.TABLE_PARTS, _tables),
 }
 
@@ -403,18 +407,13 @@ def _job_results(run, jobs: list) -> list:
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
     jobs = [(name, i) for name in names for i in range(len(_CHECKS[name][0]))]
-    results = dict(zip(jobs, _job_results(functools.partial(_run_job, seed=args.seed), jobs)))
+    results = iter(_job_results(functools.partial(_run_job, seed=args.seed), jobs))
     all_ok = True
     for name in names:
         check_jobs, verdict = _CHECKS[name]
-        ran = [results[name, i] for i in range(len(check_jobs))]
+        ran = [next(results) for _ in check_jobs]
         raised = [value for done, value in ran if not done]
-        if raised:
-            ok, detail = False, raised
-        elif verdict is None:
-            ok, detail = ran[0][1]
-        else:
-            ok, detail = verdict(*(value for _, value in ran))
+        ok, detail = (False, raised) if raised else verdict(*(value for _, value in ran))
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
         if not ok:
             for line in detail:

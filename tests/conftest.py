@@ -4,10 +4,9 @@ The acceptance tests funnel their verdicts through `record_criterion` so a
 plain `pytest` run ends with one visible PASS/FAIL line per criterion even
 under output capture. The kernel tests follow equal keys through
 `TaggedElement` and compare comparison logs through `Recorded`. The
-`reproduced_tables` fixture measures each seed's tables once per session.
+`reproduced_tables` fixture measures the seed-0 tables once per session.
 """
 
-import functools
 import operator
 
 import pytest
@@ -35,8 +34,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def reproduced_tables():
-    """`reproduce_tables` by seed, each seed measured once a session."""
-    return functools.cache(reproduce_tables)
+    """`reproduce_tables(0)`, measured once a session."""
+    return reproduce_tables(0)
 
 
 class Recorded:

@@ -11,7 +11,6 @@ from sortlab.analysis import (
     CSV_HEADER,
     FAST_SIZES,
     QUAD_SIZES,
-    BenchRecord,
     Complexity,
     DifferentialError,
     Distribution,
@@ -22,7 +21,6 @@ from sortlab.analysis import (
     growth_fit,
     make_workload,
     run_sweep,
-    time_table,
     write_csv,
 )
 from sortlab.baseline_sorts import AlgorithmId, PivotRule
@@ -189,7 +187,7 @@ def tables(reproduced_tables):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(analysis, "counted_sort", spy)
         analysis._slot_rows()
-    return reproduced_tables(0), keys
+    return reproduced_tables, keys
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import pytest
 from conftest import TaggedElement
 
 import sortlab.instrumentation as instrumentation
+from sortlab.analysis import _TIME_CASES, Complexity
 from sortlab.baseline_sorts import AlgorithmId, PivotRule, bucket_sort, merge_sort
 from sortlab.instrumentation import (
     SPECS,
@@ -97,10 +98,23 @@ class TestSpecs:
 
     def test_readme_table_matches_specs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `(\w+)`\s*\|.*\|\s*(yes|no)\s*\|$", readme, re.MULTILINE)
-        assert sorted(name for name, _ in rows) == sorted(a.value for a in AlgorithmId)
-        for name, stable in rows:
+        rows = re.findall(r"^\| `(\w+)`\s*\|([^|]*)\|.*\|\s*(yes|no)\s*\|$", readme,
+                          re.MULTILINE)
+        assert sorted(name for name, _, _ in rows) == sorted(a.value for a in AlgorithmId)
+        classes = {"n²": Complexity.QUADRATIC, "n log n": Complexity.LINEARITHMIC,
+                   "n": Complexity.LINEAR}
+        for name, time, stable in rows:
             assert (stable == "yes") == SPECS[AlgorithmId(name)].stable, name
+            # "worst / average", each side a class with an optional note in parentheses
+            if time.strip() == "d·(n+k) always":
+                shown = [Complexity.LINEAR, Complexity.LINEAR]
+            else:
+                shown = [classes[side.split("(")[0].strip()] for side in time.split("/")]
+            fits = {case_name: case.expected for case in _TIME_CASES
+                    if case.algorithm is AlgorithmId(name) for case_name in case.cases}
+            expected = [{fits[c] for c in cases if c in fits}
+                        for cases in (("worst", "all"), ("average", "expected", "all"))]
+            assert expected == [{kind} for kind in shown], name
 
 
 class TestTaggedElement:

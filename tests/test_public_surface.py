@@ -60,7 +60,7 @@ def test_public_surface_is_pinned():
     # the sift-down kernel is reached only through `build` and `remove_at`
     assert not hasattr(sortlab.Heap, "sift_down")
     # a stability verdict meets its design in `StabilityVerdict.ok` alone, and
-    # a one-job verify check needs no identity verdict
+    # the one-job verify checks share one pass-through verdict, `cli._as_is`
     assert not hasattr(importlib.import_module("sortlab.analysis"), "StabilityRow")
     assert not hasattr(importlib.import_module("sortlab.cli"), "_only")
     # no option that only tests ever set
