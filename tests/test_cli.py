@@ -576,6 +576,24 @@ def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch,
     assert reports == [reproduced_tables]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_gives_each_verdict_its_own_results_in_job_order(capsys, monkeypatch, cpus):
+    # checks of several jobs, asked for out of _CHECKS' order: each verdict
+    # gets its own jobs' results, in the order of its jobs, serially and pooled
+    def jobs(name, count):
+        return tuple(lambda seed, i=i: f"{name} {i} seed {seed}" for i in range(count))
+
+    monkeypatch.setitem(cli._CHECKS, "dynamic", (jobs("dynamic", 3), lambda *v: (False, v)))
+    monkeypatch.setitem(cli._CHECKS, "build-cost", (jobs("build-cost", 2), lambda *v: (False, v)))
+    monkeypatch.setitem(cli._CHECKS, "heap-invariants",
+                        ((lambda seed: (True, ["unprinted"]),), cli._as_is))
+    argv = ["verify", "--only", "dynamic,heap-invariants,build-cost", "--seed", "5"]
+    expected = ("dynamic: FAIL\n  dynamic 0 seed 5\n  dynamic 1 seed 5\n  dynamic 2 seed 5\n"
+                "heap-invariants: PASS\n"
+                "build-cost: FAIL\n  build-cost 0 seed 5\n  build-cost 1 seed 5\n")
+    assert run_on(cpus, capsys, monkeypatch, argv) == (1, expected, "", 0 if cpus == 1 else 2)
+
+
 def test_every_verify_check_has_a_job_and_a_verdict():
     # _CHECKS is the one table of verify's jobs: a check with no job would
     # print nothing true, and every check's results go through its verdict,
