@@ -52,7 +52,7 @@ from .instrumentation import (
     counted_sort,
     stability_check,
 )
-from .uhs_sort import SortOrder, heap_order_for, uhs_sort
+from .uhs_sort import SortOrder, uhs_sort
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "dynamic_scenario",
     "generate_input",
     "growth_fit",
-    "heap_order_for",
     "insertion_sort",
     "is_heap",
     "make_workload",

@@ -114,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--stats", action="store_true", help="print operation counts to stderr")
     p_sort.add_argument("--pivot", choices=_PIVOT_VALUES, default="random")
     p_sort.add_argument("--seed", type=int, default=0)
+    p_sort.set_defaults(run=_cmd_sort)
 
     p_bench = sub.add_parser("bench", help="sweep algorithms and emit CSV")
     p_bench.add_argument(
@@ -137,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--pivot", choices=_PIVOT_VALUES, default="random")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--csv", help="write CSV here instead of stdout")
+    p_bench.set_defaults(run=_cmd_bench)
 
     p_stab = sub.add_parser("stability", help="report stability verdicts")
     p_stab.add_argument(
@@ -146,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_stab.add_argument("--trials", type=int, default=10_000)
     p_stab.add_argument("--seed", type=int, default=0)
+    p_stab.set_defaults(run=_cmd_stability)
 
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     p_verify.add_argument(
@@ -155,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma list of checks (default all: {', '.join(_CHECKS)})",
     )
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -428,14 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    handlers = {
-        "sort": _cmd_sort,
-        "bench": _cmd_bench,
-        "stability": _cmd_stability,
-        "verify": _cmd_verify,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; aim it at devnull so the flush at exit cannot raise again

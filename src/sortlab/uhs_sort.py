@@ -30,11 +30,6 @@ class SortOrder(Enum):
     DESCENDING = "desc"
 
 
-def heap_order_for(order: SortOrder) -> HeapOrder:
-    """Heap direction that leaves extracted elements in final position."""
-    return HeapOrder.MAX_AT_ROOT if order is SortOrder.ASCENDING else HeapOrder.MIN_AT_ROOT
-
-
 def uhs_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
@@ -47,10 +42,8 @@ def uhs_sort(
     leafward sift; one kernel call runs all n - 1 extractions. ``build``
     reports its own counts into ``counters``.
     """
-    n = len(elements)
-    if n <= 1:
-        return
-    heap = build(elements, heap_order_for(order), counters)
-    cmp, moves = _sift_leafward(elements, heap._mx)
+    mx = order is SortOrder.ASCENDING
+    build(elements, HeapOrder.MAX_AT_ROOT if mx else HeapOrder.MIN_AT_ROOT, counters)
+    cmp, moves = _sift_leafward(elements, mx)
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)

@@ -32,7 +32,6 @@ EXPECTED_ALL = {
     "dynamic_scenario",
     "generate_input",
     "growth_fit",
-    "heap_order_for",
     "insertion_sort",
     "is_heap",
     "make_workload",
@@ -50,13 +49,16 @@ EXPECTED_ALL = {
 
 
 def test_public_surface_is_pinned():
-    assert len(sortlab.__all__) == len(set(sortlab.__all__)) == 41
+    assert len(sortlab.__all__) == len(set(sortlab.__all__)) == 40
     assert set(sortlab.__all__) == EXPECTED_ALL
     for name in sortlab.__all__:
         assert getattr(sortlab, name) is not None, name
     # no test-only hook is left in the library
     assert not [name for name in dir(heap_core) if name.startswith("_FAULT")]
-    assert not hasattr(importlib.import_module("sortlab.uhs_sort"), "sorted_region_invariant")
+    uhs_module = importlib.import_module("sortlab.uhs_sort")
+    assert not hasattr(uhs_module, "sorted_region_invariant")
+    # uhs_sort picks its heap direction itself
+    assert not hasattr(uhs_module, "heap_order_for")
     # the sift-down kernel is reached only through `build` and `remove_at`
     assert not hasattr(sortlab.Heap, "sift_down")
     # a stability verdict meets its design in `StabilityVerdict.ok` alone, and

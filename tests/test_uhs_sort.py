@@ -10,7 +10,9 @@ from conftest import TaggedElement
 
 from sortlab.counting import OpCounters
 from sortlab.heap_core import HeapOrder, build, is_heap
-from sortlab.uhs_sort import SortOrder, heap_order_for, uhs_sort
+from sortlab.uhs_sort import SortOrder, uhs_sort
+
+HEAP_ORDER = {SortOrder.ASCENDING: HeapOrder.MAX_AT_ROOT, SortOrder.DESCENDING: HeapOrder.MIN_AT_ROOT}
 
 
 def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrder.ASCENDING) -> bool:
@@ -23,7 +25,7 @@ def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrd
     n = len(elements)
     if heap_size > n:
         raise ValueError(f"heap_size {heap_size} exceeds length {n}")
-    if not is_heap(elements, heap_size, heap_order_for(order)):
+    if not is_heap(elements, heap_size, HEAP_ORDER[order]):
         return False
     suffix_ok = operator.le if order is SortOrder.ASCENDING else operator.ge
     for i in range(heap_size, n - 1):
@@ -35,11 +37,6 @@ def sorted_region_invariant(elements, heap_size: int, order: SortOrder = SortOrd
         if not suffix_ok(boundary, elements[heap_size]):
             return False
     return True
-
-
-def test_heap_order_mapping():
-    assert heap_order_for(SortOrder.ASCENDING) is HeapOrder.MAX_AT_ROOT
-    assert heap_order_for(SortOrder.DESCENDING) is HeapOrder.MIN_AT_ROOT
 
 
 class TestCorrectness:
@@ -70,10 +67,11 @@ class TestCorrectness:
         # sorted input still moves every root across the boundary
         assert (c.comparisons, c.element_moves) == (13, 23)
 
-    def test_trivial_sizes_cost_nothing(self):
+    @pytest.mark.parametrize("order", list(SortOrder))
+    def test_trivial_sizes_cost_nothing(self, order):
         for a in ([], [7]):
             c = OpCounters()
-            uhs_sort(a, counters=c)
+            uhs_sort(a, order, c)
             assert c.as_dict() == OpCounters().as_dict()
 
     @given(st.lists(st.integers()))
@@ -159,7 +157,7 @@ class TestLoopInvariant:
             a = [TaggedElement(k, i) for i, k in enumerate(keys)]
             b = a[:]
             drain_counts = OpCounters()
-            h = build(b, heap_order_for(order), drain_counts)
+            h = build(b, HEAP_ORDER[order], drain_counts)
             drained = []
             while len(h):
                 drained.append(h.pop_root(drain_counts))
