@@ -1,18 +1,18 @@
 """Command-line front end: sort data, run benchmarks, probe stability, verify.
 
 Exit codes: 0 success, 1 a check or verdict failed, 2 bad usage, bad input or
-an output that cannot be written (a failed ``-o`` write or a closed stdout).
+an output that cannot be written (a failed ``-o`` write, a full or closed stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import random
 import sys
-from pathlib import Path
 
 from . import analysis
 from .analysis import (
@@ -41,6 +41,11 @@ _ORDERS = {"asc": SortOrder.ASCENDING, "desc": SortOrder.DESCENDING}
 _ALGO_VALUES = [a.value for a in AlgorithmId]
 _DIST_VALUES = [d.value for d in Distribution]
 _PIVOT_VALUES = [p.value for p in PivotRule]
+_CHUNK = 65_536  # values `sortlab sort` formats per write: its output is never held whole
+
+
+class _Rejected(Exception):
+    """A request that `main` reports on stderr, ending with exit status 2."""
 
 
 def _size_item(token: str) -> int:
@@ -162,39 +167,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_values(args) -> list | int:
-    """Parse input values; returns the list, or an exit code on failure."""
-    if args.input:
-        try:
-            text = Path(args.input).read_text()
-        except (OSError, UnicodeDecodeError) as e:
-            print(f"cannot read {args.input}: {e}", file=sys.stderr)
-            return 2
-    else:
-        text = sys.stdin.read()
+def _read_values(args) -> list:
+    """The input's values, one a line, read and parsed in one pass; blank lines are skipped.
+
+    A line ends at ``\\n`` alone, in a file as on stdin; a ``\\r`` before it is whitespace.
+    """
     parse = float if args.float else int
-    lines = text.splitlines()
+    values = []
     try:
-        values = list(map(parse, filter(str.strip, lines)))
-    except ValueError:
-        pass
-    else:
-        if not args.float or all(map(math.isfinite, values)):
-            return values
-    # Some line is bad: parse them again one by one to name the first.
-    for ln, raw in enumerate(lines, 1):
-        s = raw.strip()
-        if not s:
-            continue
-        try:
-            value = parse(raw)
-        except ValueError:
-            print(f"input line {ln}: cannot parse {s!r}", file=sys.stderr)
-            break
-        if args.float and not math.isfinite(value):
-            print(f"input line {ln}: NaN and infinities cannot be sorted", file=sys.stderr)
-            break
-    return 2
+        source = open(args.input, newline="\n") if args.input else contextlib.nullcontext(sys.stdin)
+        with source as lines:
+            for ln, raw in enumerate(lines, 1):
+                try:
+                    value = parse(raw)
+                except ValueError:
+                    if raw.isspace():
+                        continue
+                    raise _Rejected(f"input line {ln}: cannot parse {raw.strip()!r}") from None
+                if args.float and not math.isfinite(value):
+                    raise _Rejected(f"input line {ln}: NaN and infinities cannot be sorted")
+                values.append(value)
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Rejected(f"cannot read {args.input or 'stdin'}: {e}") from None
+    return values
+
+
+@contextlib.contextmanager
+def _output(path: str | None = None):
+    """The file at ``path`` opened for writing, or stdout when there is no path.
+
+    Stdout is flushed at the end. A failed write is a rejection; a stdout that
+    failed is then aimed at devnull, so that the flush at exit cannot raise again.
+    """
+    try:
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            yield fh
+            fh.flush()
+    except OSError as e:
+        if path:
+            raise _Rejected(f"cannot write {path}: {e}") from None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):
+            raise _Rejected() from None  # a reader that closed stdout goes unreported
+        raise _Rejected(f"cannot write stdout: {e}") from None
 
 
 def _cmd_sort(args) -> int:
@@ -202,31 +217,16 @@ def _cmd_sort(args) -> int:
     domain = SPECS[algorithm].keys
     if domain is not KeyDomain.COMPARABLE and args.float != (domain is KeyDomain.UNIT_FLOAT):
         fix = "drop" if args.float else "pass"
-        print(f"{algorithm.value} sort takes {domain.value}; {fix} --float", file=sys.stderr)
-        return 2
+        raise _Rejected(f"{algorithm.value} sort takes {domain.value}; {fix} --float")
     values = _read_values(args)
-    if isinstance(values, int):
-        return values
     try:
-        _, counters = counted_sort(
-            algorithm,
-            values,
-            _ORDERS[args.order],
-            seed=args.seed,
-            pivot=PivotRule(args.pivot),
-        )
+        _, counters = counted_sort(algorithm, values, _ORDERS[args.order], seed=args.seed,
+                                   pivot=PivotRule(args.pivot))
     except KeyDomainError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    out = "\n".join(map(str, values)) + "\n" if values else ""
-    if args.output:
-        try:
-            Path(args.output).write_text(out)
-        except OSError as e:
-            print(f"cannot write {args.output}: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(out)
+        raise _Rejected(str(e)) from None
+    with _output(args.output) as fh:
+        for start in range(0, len(values), _CHUNK):
+            fh.write("\n".join(map(str, values[start:start + _CHUNK])) + "\n")
     if args.stats:
         for name, value in counters.as_dict().items():
             print(f"{name}={value}", file=sys.stderr)
@@ -237,12 +237,10 @@ def _cmd_bench(args) -> int:
     algorithms = [AlgorithmId(v) for v in args.algorithms]
     distributions = [Distribution(v) for v in args.distributions]
     if args.trials < 1:
-        print("--trials must be >= 1", file=sys.stderr)
-        return 2
+        raise _Rejected("--trials must be >= 1")
     cells = sweep_cells(algorithms, args.sizes, distributions)
     if not cells:  # integer-key algorithms only, uniform01 only
-        print(f"{algorithms[0].value} sort cannot take uniform01 (float) keys", file=sys.stderr)
-        return 2
+        raise _Rejected(f"{algorithms[0].value} sort cannot take uniform01 (float) keys")
     int_only = [a for a in algorithms if SPECS[a].keys is KeyDomain.NONNEG_INT]
     if int_only and Distribution.UNIFORM01 in distributions:
         names = ",".join(a.value for a in int_only)
@@ -259,15 +257,8 @@ def _cmd_bench(args) -> int:
         # a task that raised runs again here, to raise the same exception in this process
         done.update(zip(task, results if ok else run(task)))
     records = [record for cell in cells for record in done[cell]]
-    if args.csv:
-        try:
-            with open(args.csv, "w") as fh:
-                write_csv(records, fh)
-        except OSError as e:
-            print(f"cannot write {args.csv}: {e}", file=sys.stderr)
-            return 2
-    else:
-        write_csv(records, sys.stdout)
+    with _output(args.csv) as fh:
+        write_csv(records, fh)
     return 0
 
 
@@ -278,12 +269,12 @@ def _sweep_task(cells: list, options: dict) -> list:
 
 def _cmd_stability(args) -> int:
     if args.trials < 1:
-        print("--trials must be >= 1", file=sys.stderr)
-        return 2
+        raise _Rejected("--trials must be >= 1")
     ok = True
     for algorithm in map(AlgorithmId, args.algorithms):
         verdict = stability_check(algorithm, trials=args.trials, seed=args.seed)
-        print(verdict.describe())
+        with _output() as out:
+            print(verdict.describe(), file=out)
         ok &= verdict.ok
     return 0 if ok else 1
 
@@ -418,11 +409,12 @@ def _cmd_verify(args) -> int:
         ran = [next(results) for _ in check_jobs]
         raised = [value for done, value in ran if not done]
         ok, detail = (False, raised) if raised else verdict(*(value for _, value in ran))
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            for line in detail:
-                print(f"  {line}")
-            all_ok = False
+        with _output() as out:
+            print(f"{name}: {'PASS' if ok else 'FAIL'}", file=out)
+            if not ok:
+                for line in detail:
+                    print(f"  {line}", file=out)
+                all_ok = False
     return 0 if all_ok else 1
 
 
@@ -433,13 +425,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code = args.run(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; aim it at devnull so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.run(args)
+    except _Rejected as e:
+        if e.args:
+            print(e, file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sortlab
 import sortlab.analysis as analysis
@@ -67,6 +72,59 @@ def _merge_time_rows_only(index, seed, time_rows=analysis._time_rows):
 
 def _without_wall_nanos(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
+def _cli_env():
+    """This environment, with PYTHONPATH at this sortlab, for a ``python -m sortlab.cli`` child."""
+    return dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).resolve().parents[1]))
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that takes every write and keeps none of it."""
+
+    def write(self, text):
+        return len(text)
+
+
+_BAD_TOKENS = ["x", "1.5", "1__0", "_1", "1_", "--3", "+-3", "0x10", "1 2", "1e3", "nan"]
+
+
+@st.composite
+def _line_files(draw):
+    """A line file for `sortlab sort`, the values of its good lines, and its first bad line's
+    number and token (or None): signed ints with underscores and padding, blank and
+    whitespace-only lines, a few bad tokens, each line ended by \\n or \\r\\n."""
+    lines, values, first_bad = [], [], None
+    for ln in range(1, draw(st.integers(0, 12)) + 1):
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        kind = draw(st.sampled_from(["int", "int", "int", "blank", "bad"]))
+        if kind == "blank":
+            text = draw(pad) + draw(pad)
+        elif kind == "bad":
+            token = draw(st.sampled_from(_BAD_TOKENS))
+            text = draw(pad) + token + draw(pad)
+            first_bad = first_bad or (ln, token)
+        else:
+            n = draw(st.integers(-10**12, 10**12))
+            sign = "-" if n < 0 else draw(st.sampled_from(["", "+", "-"] if n == 0 else ["", "+"]))
+            digits = str(abs(n))  # with an underscore or none after each digit but the last
+            digits = "".join(d + draw(st.sampled_from(["", "_"])) for d in digits[:-1]) + digits[-1]
+            text = draw(pad) + sign + digits + draw(pad)
+            values.append(n)
+        lines.append(text + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines), values, first_bad
+
+
+def _sort_in_process(argv, text):
+    """``main(["sort", *argv])`` on ``text`` as stdin: (exit code, stdout, stderr)."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sort", *argv])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestParseSizes:
@@ -194,6 +252,79 @@ class TestSortCommand:
             capsys, ["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n", monkeypatch
         )
         assert code == 0 and out == "-2.5\n1e-07\n0.1\n3.0\n1e+16\n"
+
+    def test_values_are_what_python_int_accepts_printed_canonically(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["sort"], "1_000\n\u0663\n +7 \n-0\n", monkeypatch)
+        assert (code, out, err) == (0, "0\n3\n7\n1000\n", "")
+
+    @pytest.mark.parametrize("via", ["stdin", "file"])
+    def test_crlf_sorts_and_only_newline_ends_a_line(self, capsys, monkeypatch, tmp_path, via):
+        def sort(text):
+            if via == "stdin":
+                return run_cli(capsys, ["sort"], text, monkeypatch)
+            src = tmp_path / "in.txt"
+            src.write_bytes(text.encode())
+            return run_cli(capsys, ["sort", "-i", str(src)])
+
+        assert sort("3\r\n1\r\n\r\n2\r\n") == (0, "1\n2\n3\n", "")
+        # a lone \r or a form feed, which str.splitlines would end a line at, does not
+        assert sort("3\r1\r2\r") == (2, "", "input line 1: cannot parse '3\\r1\\r2'\n")
+        assert sort("3\x0c1\n2\n") == (2, "", "input line 1: cannot parse '3\\x0c1'\n")
+
+    def test_undecodable_stdin_is_rejected(self, capsys, monkeypatch):
+        # as under a strict UTF-8 locale
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3\n\xff\n1\n"),
+                                                          encoding="utf-8", errors="strict"))
+        code, out, err = run_cli(capsys, ["sort"])
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read stdin: ")
+
+    def test_a_file_sorts_onto_itself(self, capsys, tmp_path):
+        # the input is read in full before the output is opened, which truncates it
+        path = tmp_path / "data.txt"
+        path.write_text("4\n-2\n10\n")
+        code, out, err = run_cli(capsys, ["sort", "-i", str(path), "-o", str(path)])
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == "-2\n4\n10\n"
+
+    def test_memory_holds_the_values_and_one_output_chunk(self, monkeypatch):
+        # Guards the one-pass reader and the chunked writer: the traced peak
+        # holds the values list and its ints, one output chunk and a fixed
+        # slack, but no copy of the input text, its lines or the whole output
+        # (holding those took about 110 B a key, against about 56 here). Only
+        # memory is asserted, never wall time. uhs sorts in place; a stand-in
+        # that sorts without counting spares tracemalloc the counters' ints.
+        n = 2**18
+        rng = random.Random(1)
+        monkeypatch.setattr(instrumentation, "uhs_sort", _sorts_without_counting)
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{rng.randrange(10**9)}\n"
+                                                             for _ in range(n))))
+        monkeypatch.setattr("sys.stdout", _Discard())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["sort"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        per_key = sys.getsizeof(10**8) + 8 * 9 / 8  # an int below 10^9, its list slot grown by 1/8
+        per_chunk_value = sys.getsizeof("123456789") + 8 + 2 * 10  # its str and slot, joined twice
+        bound = n * per_key + cli._CHUNK * per_chunk_value + 2**20
+        assert peak <= bound, f"{peak / n:.1f} B a key, over {bound / n:.1f}"
+
+
+@given(_line_files(), st.sampled_from(["asc", "desc"]), st.sampled_from(["uhs", "merge"]))
+@settings(max_examples=150)
+def test_sort_grammar_rejects_the_first_bad_line_or_prints_canonical_sorted_ints(
+        drawn, order, algorithm):
+    text, values, first_bad = drawn
+    code, out, err = _sort_in_process(["-a", algorithm, "--order", order], text)
+    if first_bad:
+        ln, token = first_bad
+        assert (code, out, err) == (2, "", f"input line {ln}: cannot parse {token!r}\n")
+    else:
+        expected = "".join(f"{v}\n" for v in sorted(values, reverse=order == "desc"))
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestBenchCommand:
@@ -611,29 +742,50 @@ def test_importing_the_cli_loads_no_process_pool():
         "import sys, sortlab.cli; "
         "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                         text=True, check=True).stdout
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [
+_WRITERS = pytest.mark.parametrize("argv", [
+    ["sort"],
     ["bench", "--sizes", "2^4..2^5", "--algorithms", "uhs"],
     ["stability", "--algorithms", "merge", "--trials", "10"],
-], ids=["bench", "stability"])
+], ids=["sort", "bench", "stability"])
+
+
+@_WRITERS
 def test_a_closed_stdout_exits_2_without_a_traceback(argv):
     # as in `sortlab bench | head -n 1`, but the reader is gone before the
     # first write, so every write fails, buffered or not
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).resolve().parents[1]))
     try:
-        done = subprocess.run([sys.executable, "-m", "sortlab.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-m", "sortlab.cli", *argv], input="3\n1\n2\n",
+                              stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(), text=True,
+                              timeout=60)
     finally:
         os.close(write_end)
     assert "Traceback" not in done.stderr
     assert done.returncode == 2, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@_WRITERS
+def test_a_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC: at the first write when
+    # stdout is unbuffered, at the first flush when it is buffered
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "sortlab.cli", *argv], input="3\n1\n2\n",
+                              stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("cannot write stdout: ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_no_subcommand_is_usage_error(capsys):
