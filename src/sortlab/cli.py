@@ -103,8 +103,19 @@ def _csv_list(valid: list[str], what: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that prints help through `_output`, so a failed write exits 2.
+
+    argparse's own printer ignores an ``OSError`` from the write.
+    """
+
+    def print_help(self, file=None):  # only -h calls it, with no file: help goes to stdout
+        with _output() as out:
+            out.write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sortlab",
         description="Instrumented sorting algorithms and heap-backed priority queues.",
     )
@@ -206,7 +217,9 @@ def _output(path: str | None = None):
     except OSError as e:
         if path:
             raise _Rejected(f"cannot write {path}: {e}") from None
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(e, BrokenPipeError):
             raise _Rejected() from None  # a reader that closed stdout goes unreported
         raise _Rejected(f"cannot write stdout: {e}") from None
@@ -419,12 +432,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:  # after help, or a usage error argparse reported
+            return int(e.code or 0)
         return args.run(args)
     except _Rejected as e:
         if e.args:

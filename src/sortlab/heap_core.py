@@ -9,7 +9,7 @@ Every parent dominates its children: ``>=`` for a max-at-root heap, ``<=``
 for min-at-root. Slots at or beyond ``heap_size`` belong to the backing
 list but are unconstrained.
 
-Two hole-based kernels sift, each taking ``mx`` (True for a max-at-root
+Two hole-based loops sift, each taking ``mx`` (True for a max-at-root
 heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 
 - ``_sift_down`` (``build`` and ``Heap.remove_at``) is a bottom-up sift
@@ -20,18 +20,21 @@ heap) and comparing inline, ``(a > b) if mx else (a < b)``:
   place. It leaves the same arrangement and makes the same writes as the
   classic top-down sift, and it writes nothing until every comparison is
   done, so a comparison that raises leaves the list unchanged.
-- ``_sift_leafward`` drains ``uhs_sort``'s extraction phase in one call:
-  after Wegener's BOTTOM-UP-HEAPSORT, each extraction moves the root past
-  the shrinking heap boundary, walks the hole it leaves to a leaf along the
-  dominant child, and lets the displaced element climb back.
+- The leafward extraction is a step of Wegener's BOTTOM-UP-HEAPSORT. The
+  root moves to the last live slot, which leaves the heap, and the element
+  displaced from there is held. The hole left at the root walks to a leaf
+  along the dominant child (left wins ties), with one comparison per level
+  that has two children; a lone left child at the bottom is taken without
+  one, so the descent's comparisons follow from the leaf's depth. The held
+  element then climbs from that leaf: each ancestor it strictly dominates
+  moves down a level into the hole, and it lands in the hole below the
+  first one it does not.
 
-The priority-queue operations run their own loops inline, so that each
-costs one call: ``Heap.push`` and ``Heap.remove_at`` climb, and
-``Heap.pop_root`` runs one leafward extraction, its own copy of
-``_sift_leafward``'s loop, because sharing one loop measured 3-15% slower
-on both the sort and the priority queue. Each climb moves every
-ancestor it passes down a level as it goes; a comparison that raises moves
-them back, so a failed operation leaves the heap exactly as it was.
+``_sift_leafward`` runs the extraction n - 1 times to drain ``uhs_sort``, and
+``Heap.pop_root`` runs it once; ``Heap.push`` and ``Heap.remove_at`` run the
+same climb from their own start. Each runs its loops inline, so that an
+operation costs one call: sharing one loop across frames measured 3-15%
+slower on both the sort and the priority queue.
 
 Every sift holds one element out of the list and moves a hole instead of
 swapping pairs, so heap code reports no swaps: every write of an element
@@ -116,16 +119,12 @@ def _sift_down(a: list, n: int, hole: int, mx: bool) -> tuple[int, int]:
 
 
 def _sift_leafward(a: list, mx: bool) -> tuple[int, int]:
-    """Drain the whole heap ``a`` into sorted order, refilling the root bottom-up.
+    """Drain the whole heap ``a`` into sorted order by leafward extractions.
 
-    For ``end`` from ``len(a) - 1`` down to 1, the root of a[0:end+1] moves
-    to slot ``end``, and the element it displaced is held while the hole left
-    at the root walks to a leaf of a[0:end] along the dominant child (left
-    wins ties), with one comparison per level that has two children; a lone
-    left child at the bottom is taken without one. The held element then
-    climbs back from that leaf past every ancestor it strictly dominates.
-    Descent costs follow from the leaf depth, so the descent loop counts
-    nothing.
+    For ``end`` from ``len(a) - 1`` down to 1, one extraction moves the root
+    of a[0:end+1] to slot ``end``. A comparison that raises leaves ``a`` only
+    a permutation of its input: the ``finally`` writes the held element into
+    the hole, wherever the descent or the climb left it.
     """
     cmp = moves = 0
     for end in range(len(a) - 1, 0, -1):
@@ -143,21 +142,18 @@ def _sift_leafward(a: list, mx: bool) -> tuple[int, int]:
                 child = 2 * child + 1
             depth = (hole + 1).bit_length() - 1
             cmp += depth
+            moves += depth + 2  # the root's move, the descent and x's write
             if child == pairs_end:
                 a[hole] = a[child]
                 hole = child
-                depth += 1
-            top = hole
-            while top:
-                p = (top - 1) >> 1
-                cmp += 1
-                if not ((x > a[p]) if mx else (x < a[p])):
-                    break
-                top = p
-            moves += 2 + depth  # the root's move, the descent and x's write
-            while hole > top:
+                moves += 1
+            while hole:
                 p = (hole - 1) >> 1
-                a[hole] = a[p]
+                y = a[p]
+                cmp += 1
+                if not ((x > y) if mx else (x < y)):
+                    break
+                a[hole] = y
                 hole = p
                 moves += 1
         finally:
@@ -227,15 +223,11 @@ class Heap:
             counters.element_moves += levels + 1
 
     def pop_root(self, counters: OpCounters | None = None):
-        """Remove and return the dominating element.
+        """Remove and return the dominating element by one leafward extraction.
 
-        The root moves to the last live slot, which leaves the heap. The hole
-        it leaves walks to a leaf along the dominant child (left wins ties),
-        with one comparison per level that has two children, and the element
-        displaced from the last slot climbs back from that leaf past every
-        ancestor it strictly dominates. A comparison that raises shifts the
-        path back down and puts the root and the displaced element back, so a
-        failed pop leaves the heap exactly as it was.
+        A comparison that raises shifts the path back down and puts the root
+        and the displaced element back, so a failed pop leaves the heap
+        exactly as it was.
         """
         size = self.heap_size
         if size == 0:

@@ -9,12 +9,11 @@ no reversal pass (and no auxiliary storage) is ever needed.
 Both phases sift bottom-up. ``build`` runs ``heap_core``'s bottom-up
 sift-down at each internal node (about 1.65 comparisons per element on
 random input, at most 2(n - 1) in all). The extraction phase is Wegener's
-BOTTOM-UP-HEAPSORT (TCS 118, 1993), drained by one ``_sift_leafward`` call:
-the hole left at the root walks to a leaf along the dominant child with one
-comparison per level, and the element displaced from the boundary climbs
-back up from there. That measures about n lg n comparisons in all, with a
-worst case of 1.5 n lg n + O(n); the classic two-comparison sift measures
-about 1.8 n lg n. The heap code counts element moves, not swaps.
+BOTTOM-UP-HEAPSORT (TCS 118, 1993), drained by one ``_sift_leafward`` call
+(``heap_core`` describes its leafward extraction). That measures about
+n lg n comparisons in all, with a worst case of 1.5 n lg n + O(n); the
+classic two-comparison sift measures about 1.8 n lg n. The heap code counts
+element moves, not swaps.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ def uhs_sort(
 ) -> None:
     """Sort ``elements`` in place using zero auxiliary element slots.
 
-    Each extraction moves the root to its final slot (one element move, no
-    comparison) and refills the root with the element it displaced, by the
-    leafward sift; one kernel call runs all n - 1 extractions. ``build``
-    reports its own counts into ``counters``.
+    One ``_sift_leafward`` call runs all n - 1 extractions. ``build`` reports
+    its own counts into ``counters``.
     """
     mx = order is SortOrder.ASCENDING
     build(elements, HeapOrder.MAX_AT_ROOT if mx else HeapOrder.MIN_AT_ROOT, counters)

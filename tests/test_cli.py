@@ -751,7 +751,9 @@ _WRITERS = pytest.mark.parametrize("argv", [
     ["sort"],
     ["bench", "--sizes", "2^4..2^5", "--algorithms", "uhs"],
     ["stability", "--algorithms", "merge", "--trials", "10"],
-], ids=["sort", "bench", "stability"])
+    ["--help"],
+    ["sort", "--help"],
+], ids=["sort", "bench", "stability", "help", "sort-help"])
 
 
 @_WRITERS
@@ -790,6 +792,20 @@ def test_a_full_stdout_exits_2_with_one_line(argv, unbuffered):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_failed_stdout_write_leaves_no_descriptor_open(monkeypatch, capsys):
+    # stdout is aimed at devnull after a failed write; the devnull descriptor
+    # opened for that is closed again, run after run
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr("sys.stdout", full)
+            assert main(["stability", "--algorithms", "merge", "--trials", "10"]) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("cannot write stdout: ") == 3
 
 
 def test_help_exits_zero(capsys):

@@ -518,19 +518,27 @@ class TestExceptionSafety:
         with pytest.raises(TypeError):
             run(a)
         assert Counter(a) == Counter([3, "x", 1, 2])
-        # fail at every point of the run: during descents, climbs and extraction
+        # fail at every comparison of the run, during descents, climbs and
+        # extraction: each budget below an unbudgeted run's count raises
         rng = random.Random(6)
-        raised = 0
-        for spend in range(160):
-            budget = [spend]
-            items = [Fuse(rng.randint(0, 9), budget) for _ in range(24)]
-            a = items[:]
-            try:
-                run(a)
-            except RuntimeError:
-                raised += 1
-            assert Counter(a) == Counter(items), spend
-        assert raised > 0
+        for _ in range(4):
+            keys = [rng.randint(0, 9) for _ in range(24)]
+            budget = [10**9]
+            done = [Fuse(k, budget) for k in keys]
+            run(done)
+            count = 10**9 - budget[0]
+            for spend in range(count + 3):
+                budget[0] = spend
+                items = [Fuse(k, budget) for k in keys]
+                a = items[:]
+                try:
+                    run(a)
+                except RuntimeError:
+                    assert spend < count, spend
+                    assert Counter(a) == Counter(items), spend
+                else:
+                    assert spend >= count, spend
+                    assert [x.key for x in a] == [x.key for x in done], spend
 
     @pytest.mark.parametrize("order", list(SortOrder))
     @pytest.mark.parametrize(
