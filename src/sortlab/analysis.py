@@ -522,10 +522,10 @@ def dynamic_scenario(ops: Sequence[tuple]) -> DynamicReport:
     oracle: list = []
     shifts = 0
 
-    for step, op in enumerate(ops):
-        def fail(message: str):
-            return DifferentialError(step, list(ops[: step + 1]), message)
+    def fail(message: str):  # at the loop's current step
+        return DifferentialError(step, list(ops[: step + 1]), message)
 
+    for step, op in enumerate(ops):
         kind = op[0]
         if kind == "push":
             v = op[1]

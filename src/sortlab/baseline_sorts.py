@@ -343,20 +343,19 @@ def bucket_sort(
     Elements scatter into n buckets by value, each bucket is
     insertion-sorted, and buckets are concatenated back. Every bucket is
     sorted before any is written back, so a comparison that raises leaves
-    ``elements`` untouched. The domain scan first tests ``0 <= v < 1`` on
-    every key, two key comparisons each; only the insertion sorts'
-    comparisons are counted, not the scan's.
+    ``elements`` untouched. The scatter tests each key against
+    ``0 <= v < 1`` before placing it, two key comparisons each; only the
+    insertion sorts' comparisons are counted, not this domain scan's.
     """
     n = len(elements)
     if n == 0:
         return
-    for v in elements:
-        if not 0 <= v < 1:
-            raise KeyDomainError(f"bucket sort key {v!r} outside [0, 1)")
     asc = order is SortOrder.ASCENDING
     buckets: list[list] = [[] for _ in range(n)]
     top = n - 1
     for x in elements:
+        if not 0 <= x < 1:
+            raise KeyDomainError(f"bucket sort key {x!r} outside [0, 1)")
         idx = int(x * n)
         buckets[idx if idx < top else top].append(x)
     cmp = 0

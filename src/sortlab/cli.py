@@ -239,7 +239,8 @@ def _cmd_sort(args) -> int:
         raise _Rejected(str(e)) from None
     with _output(args.output) as fh:
         for start in range(0, len(values), _CHUNK):
-            fh.write("\n".join(map(str, values[start:start + _CHUNK])) + "\n")
+            chunk = tuple(values[start:start + _CHUNK])
+            fh.write("%s\n" * len(chunk) % chunk)
     if args.stats:
         for name, value in counters.as_dict().items():
             print(f"{name}={value}", file=sys.stderr)

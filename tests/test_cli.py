@@ -19,9 +19,10 @@ import sortlab.analysis as analysis
 import sortlab.cli as cli
 import sortlab.heap_core as heap_core
 import sortlab.instrumentation as instrumentation
-from sortlab import AlgorithmId, Complexity, GrowthClass, StabilityVerdict
-from sortlab.analysis import SpaceRow, TimeRow
+from sortlab import AlgorithmId
+from sortlab.analysis import Complexity, GrowthClass, SpaceRow, TimeRow
 from sortlab.cli import main, parse_sizes
+from sortlab.instrumentation import StabilityVerdict
 from sortlab.uhs_sort import SortOrder
 
 
