@@ -9,20 +9,19 @@ and their Python loops only compare: insertion sort moves each run of
 shifted elements with one C-level list operation, and bubble sort writes
 one slot per step. Their counts are still those of the textbook loops,
 which shift or exchange one element at a time. Quicksort's partition loop
-also has one copy per order; merge sort branches on the order at each
-comparison, which timed the same as separate copies. Elements are compared
-only through their own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements
-(key + payload) travel through the comparison sorts unchanged; bucket and
-radix sort read each element as its own numeric key.
+also has one copy per order. Merge sort and quicksort's median-of-three
+branch on the order at each comparison (for merge sort that timed the same
+as separate copies), so no kernel calls an ``operator`` function. Elements
+are compared only through their own ``<``, ``<=``, ``>`` and ``>=``, so
+tagged elements (key + payload) travel through the comparison sorts
+unchanged; bucket and radix sort read each element as its own numeric key.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from enum import Enum
 from itertools import accumulate, chain, islice
-from typing import Callable
 
 from .counting import OpCounters
 from .uhs_sort import SortOrder
@@ -222,26 +221,27 @@ def merge_sort(
         moves += width + j - lo
 
     rec(0, n, 1)
+    del rec  # rec reaches itself through its closure cell: break the cycle, keep nothing
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
         counters.note_peaks(aux_slots=n, recursion=peak)
 
 
-def _median3_index(a: list, lo: int, mid: int, hi: int, gt: Callable) -> tuple[int, int]:
+def _median3_index(a: list, lo: int, mid: int, hi: int, asc: bool) -> tuple[int, int]:
     """Index of the median of a[lo], a[mid], a[hi] plus comparisons spent."""
     x, y, z = a[lo], a[mid], a[hi]
     cmp = 1
-    if gt(x, y):
+    if (x > y) if asc else (x < y):
         cmp += 1
-        if gt(y, z):
+        if (y > z) if asc else (y < z):
             return mid, cmp
         cmp += 1
-        return (hi, cmp) if gt(x, z) else (lo, cmp)
+        return (hi, cmp) if ((x > z) if asc else (x < z)) else (lo, cmp)
     cmp += 1
-    if gt(x, z):
+    if (x > z) if asc else (x < z):
         return lo, cmp
     cmp += 1
-    return (hi, cmp) if gt(y, z) else (mid, cmp)
+    return (hi, cmp) if ((y > z) if asc else (y < z)) else (mid, cmp)
 
 
 def quicksort(
@@ -263,7 +263,6 @@ def quicksort(
         return
     a = elements
     asc = order is SortOrder.ASCENDING
-    gt = operator.gt if asc else operator.lt
     bits = random.Random(seed).getrandbits if pivot is PivotRule.RANDOM_SEEDED else None
     cmp = swaps = peak = 0
 
@@ -284,7 +283,7 @@ def quicksort(
                     a[k], a[hi] = a[hi], a[k]
                     swaps += 1
             elif pivot is PivotRule.MEDIAN_OF_THREE and hi - lo >= 2:
-                m, c = _median3_index(a, lo, (lo + hi) // 2, hi, gt)
+                m, c = _median3_index(a, lo, (lo + hi) // 2, hi, asc)
                 cmp += c
                 if m != hi:
                     a[m], a[hi] = a[hi], a[m]
@@ -328,6 +327,7 @@ def quicksort(
                 hi = i - 1
 
     rec(0, n - 1, 1)
+    del rec  # as in merge_sort: neither a nor the pivot source outlives the call
     if counters is not None:
         counters.add(comparisons=cmp, swaps=swaps)
         counters.note_peaks(recursion=peak)

@@ -37,7 +37,6 @@ from .instrumentation import (
 )
 from .uhs_sort import SortOrder, uhs_sort
 
-_ORDERS = {"asc": SortOrder.ASCENDING, "desc": SortOrder.DESCENDING}
 _ALGO_VALUES = [a.value for a in AlgorithmId]
 _DIST_VALUES = [d.value for d in Distribution]
 _PIVOT_VALUES = [p.value for p in PivotRule]
@@ -123,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sort = sub.add_parser("sort", help="sort values from a file or stdin")
     p_sort.add_argument("-a", "--algorithm", choices=_ALGO_VALUES, default="uhs")
-    p_sort.add_argument("--order", choices=list(_ORDERS), default="asc")
+    p_sort.add_argument("--order", choices=[o.value for o in SortOrder], default="asc")
     p_sort.add_argument("-i", "--input", help="input path, one value per line (default stdin)")
     p_sort.add_argument("-o", "--output", help="output path (default stdout)")
     p_sort.add_argument("--float", action="store_true", help="parse values as floats")
@@ -150,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list or 'all' (default random)",
     )
     p_bench.add_argument("--trials", type=int, default=1)
-    p_bench.add_argument("--order", choices=list(_ORDERS), default="asc")
+    p_bench.add_argument("--order", choices=[o.value for o in SortOrder], default="asc")
     p_bench.add_argument("--pivot", choices=_PIVOT_VALUES, default="random")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--csv", help="write CSV here instead of stdout")
@@ -233,7 +232,7 @@ def _cmd_sort(args) -> int:
         raise _Rejected(f"{algorithm.value} sort takes {domain.value}; {fix} --float")
     values = _read_values(args)
     try:
-        _, counters = counted_sort(algorithm, values, _ORDERS[args.order], seed=args.seed,
+        _, counters = counted_sort(algorithm, values, SortOrder(args.order), seed=args.seed,
                                    pivot=PivotRule(args.pivot))
     except KeyDomainError as e:
         raise _Rejected(str(e)) from None
@@ -264,7 +263,7 @@ def _cmd_bench(args) -> int:
     ranked = sorted(cells, key=lambda c: cell_cost(c[0], c[1]), reverse=True)
     tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
     run = functools.partial(_sweep_task, options=dict(
-        trials=args.trials, seed=args.seed, order=_ORDERS[args.order], pivot=PivotRule(args.pivot)
+        trials=args.trials, seed=args.seed, order=SortOrder(args.order), pivot=PivotRule(args.pivot)
     ))
     done = {}
     for task, (ok, results) in zip(tasks, _job_results(run, tasks)):

@@ -1,8 +1,10 @@
+import gc
 import math
 import operator
 import random
 import struct
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from sortlab.baseline_sorts import (
     radix_sort,
 )
 from sortlab.counting import OpCounters
+from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import SPECS, KeyDomain, counted_sort
 from sortlab.uhs_sort import SortOrder
 
@@ -398,6 +401,40 @@ def test_traced_peak_above_the_input_is_within_the_reported_slots(algorithm):
         peaks.append(peak)
     if algorithm is AlgorithmId.UHS:  # O(1) space: flat across n
         assert peaks[1] - peaks[0] < 256, peaks
+
+
+class _Watched(list):
+    """A list a weakref can watch."""
+
+
+@pytest.mark.parametrize("algorithm, order", [
+    *((a, o) for a in SPECS for o in SortOrder), ("build", HeapOrder.MIN_AT_ROOT),
+], ids=lambda v: getattr(v, "value", v))
+def test_nothing_outlives_the_call(algorithm, order):
+    # With the collector off, a list that a reference cycle still holds
+    # stays alive after the caller drops it, and the cycle shows up as what
+    # gc.collect() finds. A sort or build must leave neither.
+    rng = random.Random(300)
+    floats = algorithm != "build" and SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+    keys = [rng.random() if floats else rng.randrange(1000) for _ in range(300)]
+    gc.collect()
+    gc.disable()
+    try:
+        a = _Watched(keys)
+        watch = weakref.ref(a)
+        if algorithm == "build":
+            heap = build(a, order, OpCounters())
+            heap.push(-1, OpCounters())
+            heap.pop_root(OpCounters())
+            heap.remove_at(len(heap) // 2, OpCounters())
+            del heap
+        else:
+            counted_sort(algorithm, a, order, seed=1)
+        del a
+        assert watch() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Reference loops: the operator-based kernels the inline-comparison ones
