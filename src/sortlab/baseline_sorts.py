@@ -157,6 +157,50 @@ def bubble_sort(
         counters.add(comparisons=cmp, swaps=swaps)
 
 
+def _merge_range(a: list, lo: int, hi: int, asc: bool) -> tuple[int, int, int]:
+    """Merge-sort a[lo:hi]; returns (comparisons, element_moves, depth)."""
+    if hi - lo <= 1:
+        return 0, 0, 1
+    mid = (lo + hi) // 2
+    cmp, moves, d1 = _merge_range(a, lo, mid, asc)
+    c, m, d2 = _merge_range(a, mid, hi, asc)
+    buf = a[lo:mid]
+    width = mid - lo
+    # one comparison per element placed until either run runs out;
+    # ties take the left run's element, which keeps the sort stable
+    i = 0
+    j = mid
+    k = lo
+    x = buf[0]
+    y = a[mid]
+    try:
+        while True:
+            if (x <= y) if asc else (x >= y):
+                a[k] = x
+                k += 1
+                i += 1
+                if i == width:
+                    break
+                x = buf[i]
+            else:
+                a[k] = y
+                k += 1
+                j += 1
+                if j == hi:
+                    break
+                y = a[j]
+    finally:
+        # the left run's unplaced tail belongs in the j - k == width - i
+        # slots from k: the last ones if the right run ran out first,
+        # stale ones if a comparison raised
+        if i < width:
+            del buf[:i]
+            a[k:j] = buf
+    # width moves into buf, then one write into each slot from lo to j;
+    # any right-run leftovers past j are already in place
+    return cmp + c + k - lo, moves + m + width + j - lo, 1 + max(d1, d2)
+
+
 def merge_sort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
@@ -170,58 +214,7 @@ def merge_sort(
     n = len(elements)
     if n <= 1:
         return
-    asc = order is SortOrder.ASCENDING
-    a = elements
-    cmp = moves = peak = 0
-
-    def rec(lo: int, hi: int, depth: int) -> None:
-        nonlocal cmp, moves, peak
-        if depth > peak:
-            peak = depth
-        if hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        rec(lo, mid, depth + 1)
-        rec(mid, hi, depth + 1)
-        buf = a[lo:mid]
-        width = mid - lo
-        # one comparison per element placed until either run runs out;
-        # ties take the left run's element, which keeps the sort stable
-        i = 0
-        j = mid
-        k = lo
-        x = buf[0]
-        y = a[mid]
-        try:
-            while True:
-                if (x <= y) if asc else (x >= y):
-                    a[k] = x
-                    k += 1
-                    i += 1
-                    if i == width:
-                        break
-                    x = buf[i]
-                else:
-                    a[k] = y
-                    k += 1
-                    j += 1
-                    if j == hi:
-                        break
-                    y = a[j]
-        finally:
-            # the left run's unplaced tail belongs in the j - k == width - i
-            # slots from k: the last ones if the right run ran out first,
-            # stale ones if a comparison raised
-            if i < width:
-                del buf[:i]
-                a[k:j] = buf
-        cmp += k - lo
-        # width moves into buf, then one write into each slot from lo to
-        # j; any right-run leftovers past j are already in place
-        moves += width + j - lo
-
-    rec(0, n, 1)
-    del rec  # rec reaches itself through its closure cell: break the cycle, keep nothing
+    cmp, moves, peak = _merge_range(elements, 0, n, order is SortOrder.ASCENDING)
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
         counters.note_peaks(aux_slots=n, recursion=peak)
@@ -244,6 +237,72 @@ def _median3_index(a: list, lo: int, mid: int, hi: int, asc: bool) -> tuple[int,
     return (hi, cmp) if ((y > z) if asc else (y < z)) else (mid, cmp)
 
 
+def _quick_range(
+    a: list, lo: int, hi: int, asc: bool, bits, pivot: PivotRule
+) -> tuple[int, int, int]:
+    """Quicksort a[lo..hi], both ends included; returns (comparisons, swaps, depth)."""
+    cmp = swaps = 0
+    depth = 1
+    while lo < hi:
+        if bits is not None:
+            # rng.randint(lo, hi) value for value: CPython's rejection loop
+            width = hi - lo
+            nbits = (width + 1).bit_length()
+            r = bits(nbits)
+            while r > width:
+                r = bits(nbits)
+            if r != width:
+                k = lo + r
+                a[k], a[hi] = a[hi], a[k]
+                swaps += 1
+        elif pivot is PivotRule.MEDIAN_OF_THREE and hi - lo >= 2:
+            m, c = _median3_index(a, lo, (lo + hi) // 2, hi, asc)
+            cmp += c
+            if m != hi:
+                a[m], a[hi] = a[hi], a[m]
+                swaps += 1
+        # Elements before the first one that belongs after p stay put;
+        # from there on, each one that belongs before p is a swap.
+        p = a[hi]
+        i = lo
+        if asc:
+            while i < hi and a[i] <= p:
+                i += 1
+            first = i
+            for j in range(i + 1, hi):
+                x = a[j]
+                if x <= p:
+                    a[j] = a[i]
+                    a[i] = x
+                    i += 1
+        else:
+            while i < hi and a[i] >= p:
+                i += 1
+            first = i
+            for j in range(i + 1, hi):
+                x = a[j]
+                if x >= p:
+                    a[j] = a[i]
+                    a[i] = x
+                    i += 1
+        swaps += i - first
+        cmp += hi - lo
+        if i != hi:
+            a[i], a[hi] = a[hi], a[i]
+            swaps += 1
+        # recurse into the smaller side, loop on the larger
+        if i - lo < hi - i:
+            sub_lo, sub_hi, lo = lo, i - 1, i + 1
+        else:
+            sub_lo, sub_hi, hi = i + 1, hi, i - 1
+        if sub_lo <= sub_hi:
+            c, s, d = _quick_range(a, sub_lo, sub_hi, asc, bits, pivot)
+            cmp += c
+            swaps += s
+            depth = max(depth, d + 1)
+    return cmp, swaps, depth
+
+
 def quicksort(
     elements: list,
     order: SortOrder = SortOrder.ASCENDING,
@@ -261,73 +320,10 @@ def quicksort(
     n = len(elements)
     if n <= 1:
         return
-    a = elements
-    asc = order is SortOrder.ASCENDING
     bits = random.Random(seed).getrandbits if pivot is PivotRule.RANDOM_SEEDED else None
-    cmp = swaps = peak = 0
-
-    def rec(lo: int, hi: int, depth: int) -> None:
-        nonlocal cmp, swaps, peak
-        if depth > peak:
-            peak = depth
-        while lo < hi:
-            if bits is not None:
-                # rng.randint(lo, hi) value for value: CPython's rejection loop
-                width = hi - lo
-                nbits = (width + 1).bit_length()
-                r = bits(nbits)
-                while r > width:
-                    r = bits(nbits)
-                if r != width:
-                    k = lo + r
-                    a[k], a[hi] = a[hi], a[k]
-                    swaps += 1
-            elif pivot is PivotRule.MEDIAN_OF_THREE and hi - lo >= 2:
-                m, c = _median3_index(a, lo, (lo + hi) // 2, hi, asc)
-                cmp += c
-                if m != hi:
-                    a[m], a[hi] = a[hi], a[m]
-                    swaps += 1
-            # Elements before the first one that belongs after p stay put;
-            # from there on, each one that belongs before p is a swap.
-            p = a[hi]
-            i = lo
-            if asc:
-                while i < hi and a[i] <= p:
-                    i += 1
-                first = i
-                for j in range(i + 1, hi):
-                    x = a[j]
-                    if x <= p:
-                        a[j] = a[i]
-                        a[i] = x
-                        i += 1
-            else:
-                while i < hi and a[i] >= p:
-                    i += 1
-                first = i
-                for j in range(i + 1, hi):
-                    x = a[j]
-                    if x >= p:
-                        a[j] = a[i]
-                        a[i] = x
-                        i += 1
-            swaps += i - first
-            cmp += hi - lo
-            if i != hi:
-                a[i], a[hi] = a[hi], a[i]
-                swaps += 1
-            if i - lo < hi - i:
-                if i - lo > 0:
-                    rec(lo, i - 1, depth + 1)
-                lo = i + 1
-            else:
-                if hi - i > 0:
-                    rec(i + 1, hi, depth + 1)
-                hi = i - 1
-
-    rec(0, n - 1, 1)
-    del rec  # as in merge_sort: neither a nor the pivot source outlives the call
+    cmp, swaps, peak = _quick_range(
+        elements, 0, n - 1, order is SortOrder.ASCENDING, bits, pivot
+    )
     if counters is not None:
         counters.add(comparisons=cmp, swaps=swaps)
         counters.note_peaks(recursion=peak)

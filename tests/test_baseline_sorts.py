@@ -119,10 +119,11 @@ class TestMerge:
             assert c.aux_peak_slots == n
 
     def test_recursion_depth_logarithmic(self):
-        for n in (8, 64):
+        # halving a run of n reaches runs of one after ceil(log2(n)) levels
+        for n in (*range(2, 301), 4097):
             c = OpCounters()
             merge_sort(list(range(n, 0, -1)), counters=c)
-            assert c.recursion_peak == int(math.log2(n)) + 1
+            assert c.recursion_peak == (n - 1).bit_length() + 1, n
 
     def test_comparison_upper_bound(self):
         rng = random.Random(2)
@@ -407,29 +408,80 @@ class _Watched(list):
     """A list a weakref can watch."""
 
 
-@pytest.mark.parametrize("algorithm, order", [
-    *((a, o) for a in SPECS for o in SortOrder), ("build", HeapOrder.MIN_AT_ROOT),
-], ids=lambda v: getattr(v, "value", v))
-def test_nothing_outlives_the_call(algorithm, order):
+class _Fused:
+    """Mixin for a numeric key whose comparisons raise once ``left`` of them,
+    shared by every key, have been made."""
+
+    __slots__ = ()
+    left = 0
+
+    def _spend(self):
+        if _Fused.left == 0:
+            raise RuntimeError("comparison budget spent")
+        _Fused.left -= 1
+
+    def __lt__(self, other):
+        self._spend()
+        return super().__lt__(other)
+
+    def __le__(self, other):
+        self._spend()
+        return super().__le__(other)
+
+    def __gt__(self, other):
+        self._spend()
+        return super().__gt__(other)
+
+    def __ge__(self, other):
+        self._spend()
+        return super().__ge__(other)
+
+
+class _FusedInt(_Fused, int):
+    __slots__ = ()
+
+
+class _FusedFloat(_Fused, float):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("algorithm, order, raises", [
+    pytest.param(a, o, r, id=f"{getattr(a, 'value', a)}-{o.value}" + "-raises" * r)
+    for r in (False, True)
+    for a, o in [*((a, o) for a in SPECS for o in SortOrder), ("build", HeapOrder.MIN_AT_ROOT)]
+])
+def test_nothing_outlives_the_call(algorithm, order, raises):
     # With the collector off, a list that a reference cycle still holds
     # stays alive after the caller drops it, and the cycle shows up as what
-    # gc.collect() finds. A sort or build must leave neither.
+    # gc.collect() finds. A sort or build must leave neither, whether it
+    # returns or a comparison raises part way through.
     rng = random.Random(300)
     floats = algorithm != "build" and SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
     keys = [rng.random() if floats else rng.randrange(1000) for _ in range(300)]
+    if raises:
+        # fewer comparisons than any case makes, domain scans included
+        keys = list(map(_FusedFloat if floats else _FusedInt, keys))
+        _Fused.left = 200
     gc.collect()
     gc.disable()
     try:
         a = _Watched(keys)
         watch = weakref.ref(a)
-        if algorithm == "build":
-            heap = build(a, order, OpCounters())
-            heap.push(-1, OpCounters())
-            heap.pop_root(OpCounters())
-            heap.remove_at(len(heap) // 2, OpCounters())
-            del heap
-        else:
-            counted_sort(algorithm, a, order, seed=1)
+        raised = False
+        # no pytest.raises and no "as": neither the exception nor its
+        # traceback, which holds the sort's frames, outlives the except clause
+        try:
+            if algorithm == "build":
+                heap = build(a, order, OpCounters())
+                heap.push(-1, OpCounters())
+                heap.pop_root(OpCounters())
+                heap.remove_at(len(heap) // 2, OpCounters())
+                del heap
+            else:
+                counted_sort(algorithm, a, order, seed=1)
+        except RuntimeError:
+            raised = True
+        assert raised == raises
         del a
         assert watch() is None
         assert gc.collect() == 0
