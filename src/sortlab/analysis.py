@@ -475,6 +475,10 @@ class DifferentialError(Exception):
 
 @dataclass(frozen=True)
 class DynamicReport:
+    """``ok`` weighs two currencies: the heap's comparisons (the removal scan's
+    equality probes among them) against the oracle's element shifts, whose
+    ``bisect`` comparisons go uncounted."""
+
     steps: int
     heap_counters: OpCounters
     oracle_shifts: int

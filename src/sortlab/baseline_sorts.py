@@ -3,18 +3,18 @@
 Every sort mutates its input list, honors ascending/descending order, and
 reports costs through :class:`~sortlab.counting.OpCounters`. The comparison
 loops compare inline and work out their comparison counts from loop indices
-instead of counting each step. Insertion and bubble sort, where nearly all
-of a benchmark sweep's time goes, keep one copy of their loop per order,
-and their Python loops only compare: insertion sort moves each run of
-shifted elements with one C-level list operation, and bubble sort writes
-one slot per step. Their counts are still those of the textbook loops,
-which shift or exchange one element at a time. Quicksort's partition loop
-also has one copy per order. Merge sort and quicksort's median-of-three
-branch on the order at each comparison (for merge sort that timed the same
-as separate copies), so no kernel calls an ``operator`` function. Elements
-are compared only through their own ``<``, ``<=``, ``>`` and ``>=``, so
-tagged elements (key + payload) travel through the comparison sorts
-unchanged; bucket and radix sort read each element as its own numeric key.
+instead of counting each step. In insertion sort, bubble sort and
+quicksort's partition, only the loop that compares is written once per
+order, and the order test sits outside it: once per insertion, pass or
+partition. Insertion sort moves each run of shifted elements with one
+C-level list operation and bubble sort writes one slot per step, yet their
+counts are those of the textbook loops, which shift or exchange one element
+at a time. Merge sort and quicksort's median-of-three branch on the order
+at each comparison (for merge sort that timed the same as separate copies),
+so no kernel calls an ``operator`` function. Elements are compared only
+through their own ``<``, ``<=``, ``>`` and ``>=``, so tagged elements (key +
+payload) travel through the comparison sorts unchanged; bucket and radix
+sort read each element as its own numeric key.
 """
 
 from __future__ import annotations
@@ -62,33 +62,25 @@ def _insertion_loop(a: list, asc: bool) -> tuple[int, int]:
     element shifted, plus one with the element the scan stops at unless it
     ran off the front, and a move per element shifted plus one for ``x``.
     Nothing is written while a comparison runs, so if one raises, ``a`` is
-    left as it was after the last completed insertion.
+    left as it was after the last completed insertion. The order test runs
+    once per element, which costs about 10% on input already in order.
     """
     cmp = moves = 0
-    if asc:
-        for i in range(1, len(a)):
-            x = a[i]
-            j = i - 1
+    for i in range(1, len(a)):
+        x = a[i]
+        j = i - 1
+        if asc:
             while j >= 0 and a[j] > x:
                 j -= 1
-            shifted = i - 1 - j
-            cmp += shifted + (j >= 0)
-            if shifted:
-                del a[i]
-                a.insert(j + 1, x)
-                moves += shifted + 1
-    else:
-        for i in range(1, len(a)):
-            x = a[i]
-            j = i - 1
+        else:
             while j >= 0 and a[j] < x:
                 j -= 1
-            shifted = i - 1 - j
-            cmp += shifted + (j >= 0)
-            if shifted:
-                del a[i]
-                a.insert(j + 1, x)
-                moves += shifted + 1
+        shifted = i - 1 - j
+        cmp += shifted + (j >= 0)
+        if shifted:
+            del a[i]
+            a.insert(j + 1, x)
+            moves += shifted + 1
     return cmp, moves
 
 

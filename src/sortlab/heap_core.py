@@ -353,7 +353,10 @@ def build(
     n - 1. Per element, that is about 1.65 comparisons on random input and
     1.5 on input sorted against the heap order, but 2.0 on input already in
     heap order or all equal, where the search back up climbs the whole
-    path (a top-down sift stops at once there, for 1.0).
+    path (a top-down sift stops at once there, for 1.0). That 1.65 is
+    Wegener's bottom-up sift at every internal node; McDiarmid & Reed report
+    about 1.52n on average for their own construction (from memory, not
+    checked here), which this kernel does not implement.
     """
     heap = Heap(elements, order)
     n = len(elements)

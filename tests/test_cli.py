@@ -1,4 +1,3 @@
-import contextlib
 import io
 import math
 import os
@@ -24,6 +23,8 @@ from sortlab.analysis import Complexity, GrowthClass, SpaceRow, TimeRow
 from sortlab.cli import main, parse_sizes
 from sortlab.instrumentation import StabilityVerdict
 from sortlab.uhs_sort import SortOrder
+
+from fingerprints import run_in_process
 
 
 def _sorts_without_counting(a, order, counters=None):
@@ -114,18 +115,6 @@ def _line_files(draw):
             values.append(n)
         lines.append(text + draw(st.sampled_from(["\n", "\r\n"])))
     return "".join(lines), values, first_bad
-
-
-def _sort_in_process(argv, text):
-    """``main(["sort", *argv])`` on ``text`` as stdin: (exit code, stdout, stderr)."""
-    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["sort", *argv])
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestParseSizes:
@@ -319,7 +308,7 @@ class TestSortCommand:
 def test_sort_grammar_rejects_the_first_bad_line_or_prints_canonical_sorted_ints(
         drawn, order, algorithm):
     text, values, first_bad = drawn
-    code, out, err = _sort_in_process(["-a", algorithm, "--order", order], text)
+    code, out, err = run_in_process(["sort", "-a", algorithm, "--order", order], text)
     if first_bad:
         ln, token = first_bad
         assert (code, out, err) == (2, "", f"input line {ln}: cannot parse {token!r}\n")
