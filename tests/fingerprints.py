@@ -6,15 +6,22 @@ as committed:
 
     PYTHONPATH=src python tests/fingerprints.py | diff tests/fingerprints.txt -
 
-Each output is a ``sortlab`` command run in this process (bench still forks
-its pool): ``sort --stats`` stdout and stderr on seeded keys and the count
-columns of ``bench`` (``cut -d, -f1-9``) with its stderr, each with its exit
-status. ``verify`` is left out: when every check passes it prints only
+Most outputs are a ``sortlab`` command run in this process (bench still
+forks its pool): ``sort --stats`` stdout and stderr on seeded keys and the
+count columns of ``bench`` (``cut -d, -f1-9``) with its stderr, each with its
+exit status. Two are not commands: the text of verify's seed-0 tables, and
+the stability census of every tie pattern of six keys (`tie_census`).
+``verify`` itself is left out: when every check passes it prints only
 ``name: PASS`` lines, which its own tests assert. ``CHEAP`` is the part that
-``tests/test_fingerprints.py`` recomputes in tier-1; CI runs every output,
-on one CPU and on all. The digest file is data: a change that alters an
-output regenerates it and names the change in CHANGES.md, and it is never
-regenerated to make a test pass.
+``tests/test_fingerprints.py`` recomputes in tier-1, and ``TestTables``
+checks the tables line against the fixture it already holds; CI runs every
+output, on one CPU and on all. The digest file is data. A change that alters
+an output on purpose re-pins every line with one command, and names the
+change in CHANGES.md:
+
+    PYTHONPATH=src python tests/fingerprints.py > tests/fingerprints.txt
+
+It is never regenerated to make a test pass.
 """
 
 from __future__ import annotations
@@ -26,9 +33,15 @@ import importlib.util
 import io
 import random
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
+from sortlab.analysis import reproduce_tables
+from sortlab.baseline_sorts import AlgorithmId, PivotRule
 from sortlab.cli import main
+from sortlab.instrumentation import SPECS, KeyDomain, sort_fault
+from sortlab.uhs_sort import SortOrder
 
 PINNED = Path(__file__).with_name("fingerprints.txt")
 _INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -87,12 +100,43 @@ def _sorts(variants: str, n: int) -> dict:
     return outputs
 
 
+@functools.lru_cache(maxsize=None)
+def tie_census(n: int) -> tuple[str, ...]:
+    """`sort_fault` over every tie pattern of ``n`` keys: one line a sort and order.
+
+    A tie pattern is a sequence whose distinct keys are exactly 0..k-1 (4,683
+    of them at n = 6); bucket sort gets each key divided by ``n``. Every sort
+    runs with seed 0 and the seeded pivot, and its line reads
+    ``<alg> <order> unstable=<u> missorted=<m>``.
+    """
+    patterns = [p for p in product(range(n), repeat=n) if len(set(p)) == max(p) + 1]
+    lines = []
+    for algorithm in AlgorithmId:
+        floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+        for order in SortOrder:
+            faults = Counter(
+                sort_fault(algorithm, [k / n if floats else k for k in p], order, 0,
+                           PivotRule.RANDOM_SEEDED)
+                for p in patterns)
+            lines.append(f"{algorithm.value} {order.value} "
+                         f"unstable={faults['unstable']} missorted={faults['missorted']}")
+    return tuple(lines)
+
+
 _TINY_SWEEP = ["--algorithms", "all", "--sizes", "1..2^9", "--distributions", "all"]
+_GOLDEN_SWEEP = [
+    "--algorithms", "all", "--sizes", "2^4..2^9", "--distributions", "all", "--trials", "2"]
 _QUICKS = "quick-random quick-last quick-median3"
 
 CHEAP = {
     **_sorts(f"insertion merge {_QUICKS} bucket radix bubble uhs", 2**11),
     "bench/BENCH_ARGS/seed=1": functools.partial(_bench, 1),
+    **{
+        f"bench/2^4..2^9-all-trials=2/{order}-{pivot}/seed=3": functools.partial(
+            _bench, 3, *_GOLDEN_SWEEP, "--order", order, "--pivot", pivot)
+        for order, pivot in (("asc", "random"), ("desc", "median3"), ("asc", "last"))
+    },
+    "stability/tie-patterns/n=6": lambda: "".join(f"{line}\n" for line in tie_census(6)),
 }
 OUTPUTS = {
     **CHEAP,
@@ -100,6 +144,7 @@ OUTPUTS = {
     "bench/BENCH_ARGS/seed=3": functools.partial(_bench, 3),
     "bench/1..2^9-all/seed=3": functools.partial(_bench, 3, *_TINY_SWEEP),
     **_sorts(f"merge {_QUICKS} radix bucket uhs", 2**18),
+    "tables/seed=0": lambda: reproduce_tables(0).as_text(),
 }
 
 

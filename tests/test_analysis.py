@@ -1,10 +1,10 @@
-import hashlib
-import io
 import math
 import pickle
 import random
 
 import pytest
+
+from fingerprints import digest, pinned
 
 import sortlab.analysis as analysis
 from sortlab.analysis import (
@@ -23,9 +23,8 @@ from sortlab.analysis import (
     run_sweep,
     write_csv,
 )
-from sortlab.baseline_sorts import AlgorithmId, PivotRule
+from sortlab.baseline_sorts import AlgorithmId
 from sortlab.instrumentation import SPECS, KeyDomain, counted_sort, draws_below
-from sortlab.uhs_sort import SortOrder
 
 
 class TestGrowthFit:
@@ -150,30 +149,6 @@ class TestRunSweep:
         fields = lines[1].split(",")
         assert fields[4] == "0" and int(fields[6]) % 64 == 0
 
-    # SHA-256 of `bench --algorithms all --sizes 2^4..2^9 --distributions all
-    # --trials 2 --seed 3 --order O --pivot P | cut -d, -f1-9`: every count
-    # of every cell, with the wall-clock column dropped
-    @pytest.mark.parametrize("order,pivot,digest", [
-        (SortOrder.ASCENDING, PivotRule.RANDOM_SEEDED,
-         "217c24582caaaf62991e8d5c1b1ceded8ca83f969ff79b0cb644820c452b9c76"),
-        (SortOrder.DESCENDING, PivotRule.MEDIAN_OF_THREE,
-         "b4ab45dc0d46332f62141e2caa9663e3fdfed5c54ded8ffaa1e36b8407ff8b74"),
-        (SortOrder.ASCENDING, PivotRule.LAST_ELEMENT,
-         "f116bb6cfa13c7a43d31a73c3137ab66a2bd75877b1ebab4440c9bbcdf2bbaba"),
-    ], ids=["asc-random", "desc-median3", "asc-last"])
-    def test_golden_counts(self, order, pivot, digest):
-        recs = run_sweep(
-            list(AlgorithmId), [2**e for e in range(4, 10)], list(Distribution),
-            trials=2, seed=3, order=order, pivot=pivot,
-        )
-        out = io.StringIO()
-        write_csv(recs, out)
-        counts = "".join(
-            ",".join(line.split(",")[:9]) + "\n" for line in out.getvalue().splitlines()
-        )
-        assert hashlib.sha256(counts.encode()).hexdigest() == digest
-
-
 
 @pytest.fixture(scope="module")
 def tables(reproduced_tables):
@@ -233,8 +208,7 @@ class TestTables:
 
     def test_as_text_is_pinned(self, report):
         # every row, fit, budget and witness of the seed-0 tables, byte for byte
-        digest = hashlib.sha256(report.as_text().encode()).hexdigest()
-        assert digest == "257476a86a0e0f3399434f280a00b987b3a2d28b0f22ad5fa9b0a7bfe70a2ecf"
+        assert digest(report.as_text()) == pinned()["tables/seed=0"]
 
     def test_size_ladders(self):
         assert FAST_SIZES[0] == 1024 and FAST_SIZES[-1] == 65536

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from conftest import TaggedElement
+from fingerprints import tie_census
 
 import sortlab.instrumentation as instrumentation
 from sortlab.analysis import _TIME_CASES, Complexity
 from sortlab.baseline_sorts import AlgorithmId, PivotRule, bucket_sort, merge_sort
+from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import (
     SPECS,
     BuildCostRow,
@@ -23,6 +25,89 @@ from sortlab.instrumentation import (
     stability_check,
 )
 from sortlab.uhs_sort import SortOrder
+
+
+class _Tally:
+    """Makes a key type count every ``<``, ``<=``, ``>`` and ``>=`` it takes
+    part in, in one total that all such keys share."""
+
+    __slots__ = ()
+    made = 0
+
+    def __lt__(self, other):
+        _Tally.made += 1
+        return super().__lt__(other)
+
+    def __le__(self, other):
+        _Tally.made += 1
+        return super().__le__(other)
+
+    def __gt__(self, other):
+        _Tally.made += 1
+        return super().__gt__(other)
+
+    def __ge__(self, other):
+        _Tally.made += 1
+        return super().__ge__(other)
+
+
+class _TallyInt(_Tally, int):
+    __slots__ = ()
+
+
+class _TallyFloat(_Tally, float):
+    __slots__ = ()
+
+
+def _tallied(run):
+    """What ``run()`` returns, and how many comparisons tally keys made meanwhile."""
+    before = _Tally.made
+    result = run()
+    return result, _Tally.made - before
+
+
+class TestReportsEqualTallies:
+    """Each report against the comparisons its keys counted themselves."""
+
+    # the domain scans of bucket (0 <= v < 1) and radix (v < 0, v > top),
+    # which their docstrings say go uncounted
+    UNCOUNTED_PER_KEY = {AlgorithmId.BUCKET: 2, AlgorithmId.RADIX: 2}
+
+    @pytest.mark.parametrize("order", list(SortOrder))
+    @pytest.mark.parametrize("algorithm,pivot", [
+        *((a, PivotRule.RANDOM_SEEDED) for a in AlgorithmId if a is not AlgorithmId.QUICK),
+        *((AlgorithmId.QUICK, p) for p in PivotRule),
+    ])
+    def test_sort(self, algorithm, pivot, order):
+        # uhs_sort's case is counted_sort calling it, build included
+        rng = random.Random(300)
+        raw = [rng.randrange(100) for _ in range(300)]  # ties
+        if SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT:
+            keys = [_TallyFloat(r / 100) for r in raw]
+        else:
+            keys = list(map(_TallyInt, raw))
+        (_, counters), made = _tallied(
+            lambda: counted_sort(algorithm, keys, order, seed=0, pivot=pivot))
+        uncounted = self.UNCOUNTED_PER_KEY.get(algorithm, 0) * len(keys)
+        assert made == counters.comparisons + uncounted
+
+    @pytest.mark.parametrize("order", list(HeapOrder))
+    def test_build_and_each_heap_operation(self, order):
+        rng = random.Random(5)
+        counters = OpCounters()
+        heap, made = _tallied(
+            lambda: build([_TallyInt(rng.randrange(50)) for _ in range(200)], order, counters))
+        assert made == counters.comparisons
+        ops = {
+            "push": lambda: heap.push(_TallyInt(rng.randrange(50)), counters),
+            "pop_root": lambda: heap.pop_root(counters),
+            "remove_at": lambda: heap.remove_at(rng.randrange(len(heap)), counters),
+        }
+        for step in range(300):
+            op = rng.choice(list(ops) if len(heap) else ["push"])
+            before = counters.comparisons
+            _, made = _tallied(ops[op])
+            assert made == counters.comparisons - before, (step, op)
 
 
 class TestOpCounters:
@@ -255,6 +340,16 @@ class TestSortFault:
     @pytest.mark.parametrize("order", list(SortOrder))
     def test_empty_keys_are_no_fault(self, order):
         assert sort_fault(AlgorithmId.MERGE, [], order, 0, PivotRule.LAST_ELEMENT) is None
+
+    def test_every_tie_pattern_of_six_keys(self):
+        # no sort missorts any of them, and no stable sort moves a tie
+        lines = tie_census(6)
+        assert len(lines) == len(AlgorithmId) * len(SortOrder)
+        stable = {a.value for a, spec in SPECS.items() if spec.stable}
+        for line in lines:
+            name, _, unstable, missorted = line.split()
+            assert missorted == "missorted=0", line
+            assert name not in stable or unstable == "unstable=0", line
 
 
 class TestCTags:
