@@ -2,12 +2,13 @@
 
 The acceptance tests funnel their verdicts through `record_criterion` so a
 plain `pytest` run ends with one visible PASS/FAIL line per criterion even
-under output capture. The kernel tests follow equal keys through
-`TaggedElement` and compare comparison logs through `Recorded`. The
-`reproduced_tables` fixture measures the seed-0 tables once per session.
+under output capture. Every test that watches comparisons uses one key,
+made by `key_type`: a real int or float, so the distribution sorts take it
+too. A key may carry a label to follow equal keys by; its batch counts each
+of its comparisons, and may log them or raise once a budget is spent. Each
+batch is a class of its own, so no count, log or budget leaks between tests.
+The `reproduced_tables` fixture measures the seed-0 tables once per session.
 """
-
-import operator
 
 import pytest
 
@@ -38,62 +39,45 @@ def reproduced_tables():
     return reproduce_tables(0)
 
 
-class Recorded:
-    """Orders by key alone, and logs each comparison it makes as
-    (operator, left operand's origin, right operand's origin)."""
+class _Key:
+    """The comparisons of a `key_type` key, counted, logged and budgeted per batch."""
 
-    __slots__ = ("key", "origin", "log")
-
-    def __init__(self, key, origin, log):
-        self.key = key
-        self.origin = origin
-        self.log = log
+    def __new__(cls, value, label=None):
+        self = super().__new__(cls, value)
+        self.label = label
+        return self
 
     def _compare(self, op, other):
-        self.log.append((op.__name__, self.origin, other.origin))
-        return op(self.key, other.key)
+        batch = type(self)
+        if batch.made == batch.budget:
+            raise RuntimeError("comparison budget spent")
+        batch.made += 1
+        if batch.log is not None:
+            batch.log.append((op, self.label, other.label))
+        return getattr(super(), op)(other)
 
     def __lt__(self, other):
-        return self._compare(operator.lt, other)
+        return self._compare("__lt__", other)
 
     def __le__(self, other):
-        return self._compare(operator.le, other)
+        return self._compare("__le__", other)
 
     def __gt__(self, other):
-        return self._compare(operator.gt, other)
+        return self._compare("__gt__", other)
 
     def __ge__(self, other):
-        return self._compare(operator.ge, other)
+        return self._compare("__ge__", other)
 
 
-class TaggedElement:
-    """A sort key plus the index it started at; orders by key alone.
+def key_type(kind=int, budget=None, log=None):
+    """A fresh class of keys for one batch: each is a ``kind`` (int or float)
+    of the value it is made from and orders by that value alone.
 
-    Sorting a list of these reveals whether equal keys kept their original
-    relative order -- the payload rides along without influencing any
-    comparison.
+    ``Key(value, label)`` carries ``label``, which no comparison reads. The
+    class's ``made`` counts every ``<``, ``<=``, ``>`` and ``>=`` its keys
+    make; with a ``log``, each is appended to it as (operator, own label,
+    other's label); with a ``budget``, the comparison after ``budget`` of them
+    raises RuntimeError and is not counted.
     """
-
-    __slots__ = ("key", "origin")
-
-    def __init__(self, key, origin: int):
-        self.key = key
-        self.origin = origin
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
-
-    def __ge__(self, other):
-        return self.key >= other.key
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-    def __repr__(self):
-        return f"<{self.key}:{self.origin}>"
+    return type(f"{kind.__name__.title()}Key", (_Key, kind),
+                {"made": 0, "budget": budget, "log": log})

@@ -24,6 +24,7 @@ from sortlab.analysis import (
     write_csv,
 )
 from sortlab.baseline_sorts import AlgorithmId
+from sortlab.heap_core import Heap
 from sortlab.instrumentation import SPECS, KeyDomain, counted_sort, draws_below
 
 
@@ -257,10 +258,43 @@ class TestDynamic:
             dynamic_scenario([("frobnicate",)])
 
     def test_error_survives_pickling(self):
-        # a pooled run brings what a worker raised back through pickle
+        # verify's pool never pickles it (a worker sends back only the
+        # message), but DifferentialError is a public name, and an exception
+        # that pickle cannot rebuild breaks any pool a caller runs it in
         e = pickle.loads(pickle.dumps(DifferentialError(3, [("push", 1)], "boom")))
         assert type(e) is DifferentialError
         assert (e.step, e.prefix, str(e)) == (3, [("push", 1)], "step 3: boom")
+
+
+def _breaks_a_subtree_at_1001(heap, x, counters):
+    Heap.push(heap, x, counters)
+    if len(heap) == 1001:  # slot 1 takes the smallest key; the root stays the largest
+        a = heap.elements
+        a[1], a[1000] = a[1000], a[1]
+
+
+@pytest.mark.parametrize("methods, ops, step, message", [
+    ({"pop_root": lambda heap, counters: Heap.pop_root(heap, counters) - 1},
+     [("push", 5), ("pop",)], 1, "pop returned 4, oracle max was 5"),
+    ({}, [("push", 5), ("remove", 1)], 1, "remove rank 1 out of range"),
+    ({"push": lambda heap, x, counters: None}, [("push", 5)], 0,
+     "size diverged: heap 0, oracle 1"),
+    ({"peek": lambda heap: Heap.peek(heap) - 1}, [("push", 5)], 0,
+     "max diverged: heap 4, oracle 5"),
+    # descending pushes each land in a new last slot
+    ({"push": _breaks_a_subtree_at_1001}, [("push", v) for v in range(1001, 0, -1)], 1000,
+     "heap property violated"),
+    # the second push lands as 2: sizes and maxima agree, the contents do not
+    ({"push": lambda heap, x, counters: Heap.push(heap, x - 1 if len(heap) else x, counters)},
+     [("push", 5), ("push", 3)], 2, "final contents diverged"),
+], ids=["pop", "remove-rank", "size", "max", "heap-property", "final-contents"])
+def test_each_divergence_names_its_step_and_prefix(monkeypatch, methods, ops, step, message):
+    # a heap with one operation broken, patched in where dynamic_scenario makes its heap
+    monkeypatch.setattr(analysis, "Heap", type("Diverging", (Heap,), methods))
+    with pytest.raises(DifferentialError) as exc:
+        dynamic_scenario(ops)
+    assert (exc.value.step, exc.value.prefix) == (step, ops[: step + 1])
+    assert str(exc.value) == f"step {step}: {message}"
 
 
 def test_space_and_stability_rows_follow_specs_order(report):

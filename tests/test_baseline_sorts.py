@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Recorded, TaggedElement
+from conftest import key_type
 
 from sortlab.baseline_sorts import (
     AlgorithmId,
@@ -215,23 +215,6 @@ class TestQuick:
             assert got == sorted(a, reverse=True)
 
 
-class _Labeled:
-    """A number that carries a label; it sorts by its value alone."""
-
-    def __new__(cls, value, label):
-        self = super().__new__(cls, value)
-        self.label = label
-        return self
-
-
-class LabeledFloat(_Labeled, float):
-    pass
-
-
-class LabeledInt(_Labeled, int):
-    pass
-
-
 class TestBucket:
     def test_rejects_keys_outside_unit_interval(self):
         with pytest.raises(KeyDomainError):
@@ -259,8 +242,8 @@ class TestBucket:
 
     def test_records_sort_as_float_subclasses(self):
         # a record sorts by the value it is; its payload rides along, stably
-        a = [LabeledFloat(0.75, "c"), LabeledFloat(0.25, "a"), LabeledFloat(0.5, "b"),
-             LabeledFloat(0.25, "a2")]
+        Key = key_type(float)
+        a = [Key(0.75, "c"), Key(0.25, "a"), Key(0.5, "b"), Key(0.25, "a2")]
         items = a[:]
         bucket_sort(a)
         assert [x.label for x in a] == ["a", "a2", "b", "c"]
@@ -333,7 +316,8 @@ class TestRadix:
 
     def test_records_sort_as_int_subclasses(self):
         # a record sorts by the value it is; its payload rides along, stably
-        a = [LabeledInt(300, "c"), LabeledInt(2, "a"), LabeledInt(40, "b"), LabeledInt(2, "a2")]
+        Key = key_type()
+        a = [Key(300, "c"), Key(2, "a"), Key(40, "b"), Key(2, "a2")]
         items = a[:]
         radix_sort(a)
         assert [x.label for x in a] == ["a", "a2", "b", "c"]
@@ -408,43 +392,6 @@ class _Watched(list):
     """A list a weakref can watch."""
 
 
-class _Fused:
-    """Mixin for a numeric key whose comparisons raise once ``left`` of them,
-    shared by every key, have been made."""
-
-    __slots__ = ()
-    left = 0
-
-    def _spend(self):
-        if _Fused.left == 0:
-            raise RuntimeError("comparison budget spent")
-        _Fused.left -= 1
-
-    def __lt__(self, other):
-        self._spend()
-        return super().__lt__(other)
-
-    def __le__(self, other):
-        self._spend()
-        return super().__le__(other)
-
-    def __gt__(self, other):
-        self._spend()
-        return super().__gt__(other)
-
-    def __ge__(self, other):
-        self._spend()
-        return super().__ge__(other)
-
-
-class _FusedInt(_Fused, int):
-    __slots__ = ()
-
-
-class _FusedFloat(_Fused, float):
-    __slots__ = ()
-
-
 @pytest.mark.parametrize("algorithm, order, raises", [
     pytest.param(a, o, r, id=f"{getattr(a, 'value', a)}-{o.value}" + "-raises" * r)
     for r in (False, True)
@@ -460,8 +407,7 @@ def test_nothing_outlives_the_call(algorithm, order, raises):
     keys = [rng.random() if floats else rng.randrange(1000) for _ in range(300)]
     if raises:
         # fewer comparisons than any case makes, domain scans included
-        keys = list(map(_FusedFloat if floats else _FusedInt, keys))
-        _Fused.left = 200
+        keys = list(map(key_type(float if floats else int, budget=200), keys))
     gc.collect()
     gc.disable()
     try:
@@ -650,6 +596,7 @@ def test_kernels_match_operator_reference(order):
             lambda a, o, c, p=pivot: _ref_quick(a, o, c, p, seed=len(a)),
         ))
     rng = random.Random(31)
+    Key = key_type()
     for _ in range(320):
         n = rng.randint(0, 60)
         keys = [rng.randint(0, n // 3 + 1) for _ in range(n)]  # many ties
@@ -658,13 +605,13 @@ def test_kernels_match_operator_reference(order):
             keys.sort()
         elif shape < 0.4:
             keys.sort(reverse=True)
-        tagged = [TaggedElement(k, i) for i, k in enumerate(keys)]
+        tagged = [Key(k, i) for i, k in enumerate(keys)]
         for sort, ref in pairs:
             want, got = tagged[:], tagged[:]
             cw, cg = OpCounters(), OpCounters()
             ref(want, order, cw)
             sort(got, order, cg)
-            assert [e.origin for e in got] == [e.origin for e in want], (sort, keys)
+            assert [e.label for e in got] == [e.label for e in want], (sort, keys)
             assert cg.as_dict() == cw.as_dict(), (sort, keys)
 
 
@@ -686,10 +633,10 @@ def test_kernels_make_the_reference_comparisons(order):
         if rng.random() < 0.3:
             keys.sort(reverse=rng.random() < 0.5)
         for sort, ref in pairs:
-            want, got = [], []
-            ref([Recorded(k, i, want) for i, k in enumerate(keys)], order, OpCounters())
-            sort([Recorded(k, i, got) for i, k in enumerate(keys)], order, OpCounters())
-            assert got == want, (sort, keys)
+            want, got = key_type(log=[]), key_type(log=[])
+            ref([want(k, i) for i, k in enumerate(keys)], order, OpCounters())
+            sort([got(k, i) for i, k in enumerate(keys)], order, OpCounters())
+            assert got.log == want.log, (sort, keys)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1000, 5000])
@@ -701,9 +648,9 @@ def test_seeded_pivots_are_the_randint_stream(n):
     keys = random.Random(n).sample(range(10 * n), n)
     for seed in (0, 1, 2):
         for order in SortOrder:
-            want, got = [], []
-            _ref_quick([Recorded(k, i, want) for i, k in enumerate(keys)], order,
+            want, got = key_type(log=[]), key_type(log=[])
+            _ref_quick([want(k, i) for i, k in enumerate(keys)], order,
                        OpCounters(), PivotRule.RANDOM_SEEDED, seed)
-            quicksort([Recorded(k, i, got) for i, k in enumerate(keys)], order,
+            quicksort([got(k, i) for i, k in enumerate(keys)], order,
                       pivot=PivotRule.RANDOM_SEEDED, seed=seed)
-            assert got == want, (n, seed, order)
+            assert got.log == want.log, (n, seed, order)

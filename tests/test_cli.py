@@ -38,16 +38,7 @@ class Unrebuildable(Exception):
         super().__init__(f"merge {what} {n} keys")
 
 
-def run_cli(capsys, argv, stdin=None, monkeypatch=None):
-    if stdin is not None:
-        assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run_on(cpus, capsys, monkeypatch, argv, forks=None):
+def run_on(cpus, monkeypatch, argv, forks=None):
     """Run the CLI as if this process may use ``cpus`` CPUs; also count forks.
 
     Pass a list as ``forks`` to read the count when the run raises.
@@ -62,7 +53,7 @@ def run_on(cpus, capsys, monkeypatch, argv, forks=None):
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         m.setattr(os, "fork", fork)
-        code, out, err = run_cli(capsys, argv)
+        code, out, err = run_in_process(argv)
     return code, out, err, len(forks)
 
 
@@ -74,6 +65,11 @@ def _merge_time_rows_only(index, seed, time_rows=analysis._time_rows):
 
 def _without_wall_nanos(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
+def _appends_without_climbing(heap, x):
+    heap.elements.append(x)
+    heap.heap_size += 1
 
 
 def _cli_env():
@@ -138,123 +134,116 @@ class TestParseSizes:
 
 
 class TestSortCommand:
-    def test_stdin_to_stdout(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, ["sort"], "5\n3\n9\n1\n", monkeypatch)
+    def test_stdin_to_stdout(self):
+        code, out, err = run_in_process(["sort"], "5\n3\n9\n1\n")
         assert code == 0
         assert out == "1\n3\n5\n9\n"
         assert err == ""
 
-    def test_blank_lines_skipped(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, ["sort"], "2\n\n1\n  \n", monkeypatch)
+    def test_blank_lines_skipped(self):
+        code, out, _ = run_in_process(["sort"], "2\n\n1\n  \n")
         assert code == 0 and out == "1\n2\n"
 
-    def test_descending_with_stats(self, capsys, monkeypatch):
-        code, out, err = run_cli(
-            capsys, ["sort", "-a", "merge", "--order", "desc", "--stats"],
-            "1\n3\n2\n", monkeypatch,
-        )
+    def test_descending_with_stats(self):
+        code, out, err = run_in_process(
+            ["sort", "-a", "merge", "--order", "desc", "--stats"], "1\n3\n2\n")
         assert code == 0
         assert out == "3\n2\n1\n"
         assert "comparisons=" in err and "aux_peak_slots=3" in err
 
-    def test_file_roundtrip(self, capsys, tmp_path):
+    def test_file_roundtrip(self, tmp_path):
         src = tmp_path / "in.txt"
         dst = tmp_path / "out.txt"
         src.write_text("4\n-2\n10\n")
-        code, out, _ = run_cli(capsys, ["sort", "-i", str(src), "-o", str(dst)])
+        code, out, _ = run_in_process(["sort", "-i", str(src), "-o", str(dst)])
         assert code == 0 and out == ""
         assert dst.read_text() == "-2\n4\n10\n"
 
-    def test_every_algorithm_available(self, capsys, monkeypatch):
+    def test_every_algorithm_available(self):
         for algorithm in ("insertion", "merge", "quick", "radix", "bubble", "uhs"):
-            code, out, _ = run_cli(capsys, ["sort", "-a", algorithm], "3\n1\n2\n", monkeypatch)
+            code, out, _ = run_in_process(["sort", "-a", algorithm], "3\n1\n2\n")
             assert code == 0, algorithm
             assert out == "1\n2\n3\n"
 
-    def test_bucket_requires_float_flag(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, ["sort", "-a", "bucket"], "0.5\n", monkeypatch)
+    def test_bucket_requires_float_flag(self):
+        code, _, err = run_in_process(["sort", "-a", "bucket"], "0.5\n")
         assert code == 2
         assert "--float" in err
 
-    def test_bucket_sorts_floats(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, ["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n", monkeypatch
-        )
+    def test_bucket_sorts_floats(self):
+        code, out, _ = run_in_process(["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n")
         assert code == 0 and out == "0.25\n0.5\n0.75\n"
 
-    def test_radix_rejects_float_flag(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, ["sort", "-a", "radix", "--float"], "1\n", monkeypatch)
+    def test_radix_rejects_float_flag(self):
+        code, _, err = run_in_process(["sort", "-a", "radix", "--float"], "1\n")
         assert code == 2 and "integer" in err
 
-    def test_radix_rejects_negative_keys(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, ["sort", "-a", "radix"], "5\n-3\n", monkeypatch)
+    def test_radix_rejects_negative_keys(self):
+        code, _, err = run_in_process(["sort", "-a", "radix"], "5\n-3\n")
         assert code == 2 and "-3" in err
 
-    def test_parse_error_names_line(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, ["sort"], "5\nxyz\n1\n", monkeypatch)
+    def test_parse_error_names_line(self):
+        code, _, err = run_in_process(["sort"], "5\nxyz\n1\n")
         assert code == 2
         assert "line 2" in err and "xyz" in err
-        code, _, err = run_cli(capsys, ["sort"], "5\n\n\nxyz\n", monkeypatch)
+        code, _, err = run_in_process(["sort"], "5\n\n\nxyz\n")
         assert code == 2
         assert "line 4" in err and "xyz" in err
 
-    def test_float_nan_rejected_with_line(self, capsys, monkeypatch):
+    def test_float_nan_rejected_with_line(self):
         for algorithm in ("uhs", "merge", "quick", "insertion"):
-            code, out, err = run_cli(
-                capsys, ["sort", "-a", algorithm, "--float"], "2.5\n1\nnan\n0.5\n", monkeypatch
-            )
+            code, out, err = run_in_process(
+                ["sort", "-a", algorithm, "--float"], "2.5\n1\nnan\n0.5\n")
             assert code == 2, algorithm
             assert out == ""
             assert "line 3" in err and "NaN" in err
 
     @pytest.mark.parametrize("literal", ["1e400", "-1e400", "inf"])
-    def test_float_infinity_rejected_with_line(self, capsys, monkeypatch, literal):
-        code, out, err = run_cli(capsys, ["sort", "--float"], f"2\n{literal}\n0.5\n", monkeypatch)
+    def test_float_infinity_rejected_with_line(self, literal):
+        code, out, err = run_in_process(["sort", "--float"], f"2\n{literal}\n0.5\n")
         assert code == 2
         assert out == ""
         assert "line 2" in err
 
-    def test_missing_input_file(self, capsys):
-        code, _, err = run_cli(capsys, ["sort", "-i", "/nonexistent/path.txt"])
+    def test_missing_input_file(self):
+        code, _, err = run_in_process(["sort", "-i", "/nonexistent/path.txt"])
         assert code == 2 and "cannot read" in err
 
-    def test_input_file_that_is_not_utf8_is_rejected(self, capsys, tmp_path):
+    def test_input_file_that_is_not_utf8_is_rejected(self, tmp_path):
         src = tmp_path / "bad.txt"
         src.write_bytes(b"3\n\xff\n1\n")
-        code, out, err = run_cli(capsys, ["sort", "-i", str(src)])
+        code, out, err = run_in_process(["sort", "-i", str(src)])
         assert code == 2 and out == ""
         assert err.startswith(f"cannot read {src}: ")
 
-    def test_unknown_algorithm_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["sort", "-a", "nosuch"])
+    def test_unknown_algorithm_is_usage_error(self):
+        code, _, _ = run_in_process(["sort", "-a", "nosuch"])
         assert code == 2
 
-    def test_empty_input_is_fine(self, capsys, monkeypatch, tmp_path):
+    def test_empty_input_is_fine(self, tmp_path):
         for text in ("", "\n  \n"):
-            code, out, _ = run_cli(capsys, ["sort"], text, monkeypatch)
+            code, out, _ = run_in_process(["sort"], text)
             assert code == 0 and out == ""
         dst = tmp_path / "out.txt"
-        code, out, _ = run_cli(capsys, ["sort", "-o", str(dst)], "", monkeypatch)
+        code, out, _ = run_in_process(["sort", "-o", str(dst)], "")
         assert code == 0 and out == "" and dst.read_bytes() == b""
 
-    def test_float_output_bytes(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, ["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n", monkeypatch
-        )
+    def test_float_output_bytes(self):
+        code, out, _ = run_in_process(["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n")
         assert code == 0 and out == "-2.5\n1e-07\n0.1\n3.0\n1e+16\n"
 
-    def test_values_are_what_python_int_accepts_printed_canonically(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, ["sort"], "1_000\n\u0663\n +7 \n-0\n", monkeypatch)
+    def test_values_are_what_python_int_accepts_printed_canonically(self):
+        code, out, err = run_in_process(["sort"], "1_000\n\u0663\n +7 \n-0\n")
         assert (code, out, err) == (0, "0\n3\n7\n1000\n", "")
 
     @pytest.mark.parametrize("via", ["stdin", "file"])
-    def test_crlf_sorts_and_only_newline_ends_a_line(self, capsys, monkeypatch, tmp_path, via):
+    def test_crlf_sorts_and_only_newline_ends_a_line(self, tmp_path, via):
         def sort(text):
             if via == "stdin":
-                return run_cli(capsys, ["sort"], text, monkeypatch)
+                return run_in_process(["sort"], text)
             src = tmp_path / "in.txt"
             src.write_bytes(text.encode())
-            return run_cli(capsys, ["sort", "-i", str(src)])
+            return run_in_process(["sort", "-i", str(src)])
 
         assert sort("3\r\n1\r\n\r\n2\r\n") == (0, "1\n2\n3\n", "")
         # a lone \r or a form feed, which str.splitlines would end a line at, does not
@@ -262,18 +251,18 @@ class TestSortCommand:
         assert sort("3\x0c1\n2\n") == (2, "", "input line 1: cannot parse '3\\x0c1'\n")
 
     def test_undecodable_stdin_is_rejected(self, capsys, monkeypatch):
-        # as under a strict UTF-8 locale
+        # as under a strict UTF-8 locale, which a str stdin cannot stand in for
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3\n\xff\n1\n"),
                                                           encoding="utf-8", errors="strict"))
-        code, out, err = run_cli(capsys, ["sort"])
-        assert code == 2 and out == ""
-        assert err.startswith("cannot read stdin: ")
+        assert main(["sort"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cannot read stdin: ")
 
-    def test_a_file_sorts_onto_itself(self, capsys, tmp_path):
+    def test_a_file_sorts_onto_itself(self, tmp_path):
         # the input is read in full before the output is opened, which truncates it
         path = tmp_path / "data.txt"
         path.write_text("4\n-2\n10\n")
-        code, out, err = run_cli(capsys, ["sort", "-i", str(path), "-o", str(path)])
+        code, out, err = run_in_process(["sort", "-i", str(path), "-o", str(path)])
         assert (code, out, err) == (0, "", "")
         assert path.read_text() == "-2\n4\n10\n"
 
@@ -318,10 +307,9 @@ def test_sort_grammar_rejects_the_first_bad_line_or_prints_canonical_sorted_ints
 
 
 class TestBenchCommand:
-    def test_default_sweep_shape(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"]
-        )
+    def test_default_sweep_shape(self):
+        code, out, _ = run_in_process(
+            ["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"])
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == (
@@ -331,108 +319,102 @@ class TestBenchCommand:
         assert len(lines) == 1 + 3 * 3 * 1 * 1
         assert all(len(line.split(",")) == 10 for line in lines[1:])
 
-    def test_deterministic_modulo_wall_nanos(self, capsys):
+    def test_deterministic_modulo_wall_nanos(self):
         argv = ["bench", "--algorithms", "uhs,quick", "--sizes", "2^6..2^8",
                 "--distributions", "random,few-unique", "--trials", "2"]
-        _, out1, _ = run_cli(capsys, argv)
-        _, out2, _ = run_cli(capsys, argv)
+        _, out1, _ = run_in_process(argv)
+        _, out2, _ = run_in_process(argv)
         strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.strip().split("\n")]
         assert strip(out1) == strip(out2)
         assert out1.strip() != ""
 
-    def test_csv_file_output(self, capsys, tmp_path):
+    def test_csv_file_output(self, tmp_path):
         path = tmp_path / "bench.csv"
-        code, out, _ = run_cli(
-            capsys, ["bench", "--algorithms", "bubble", "--sizes", "64", "--csv", str(path)]
-        )
+        code, out, _ = run_in_process(
+            ["bench", "--algorithms", "bubble", "--sizes", "64", "--csv", str(path)])
         assert code == 0 and out == ""
         lines = path.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("bubble,64,random,0,")
 
-    def test_bucket_gets_float_rendition(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["bench", "--algorithms", "bucket", "--sizes", "128",
-                     "--distributions", "sorted,few-unique"]
-        )
+    def test_bucket_gets_float_rendition(self):
+        code, out, _ = run_in_process(
+            ["bench", "--algorithms", "bucket", "--sizes", "128",
+             "--distributions", "sorted,few-unique"])
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
-    def test_radix_with_uniform01_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["bench", "--algorithms", "radix", "--distributions", "uniform01"]
-        )
+    def test_radix_with_uniform01_rejected(self):
+        code, _, err = run_in_process(
+            ["bench", "--algorithms", "radix", "--distributions", "uniform01"])
         assert code == 2 and "uniform01" in err
 
-    def test_radix_with_uniform01_still_runs_the_other_algorithms(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            ["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"],
-        )
+    def test_radix_with_uniform01_still_runs_the_other_algorithms(self):
+        code, out, err = run_in_process(
+            ["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"])
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert rows and all(r.startswith("uhs,16,uniform01,") for r in rows)
         assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
 
-    def test_all_distributions_skip_radix_uniform01(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"]
-        )
+    def test_all_distributions_skip_radix_uniform01(self):
+        code, out, err = run_in_process(
+            ["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"])
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 7 * 5 - 1
         assert not [r for r in rows if r.startswith("radix,16,uniform01,")]
         assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
 
-    def test_bad_sizes_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["bench", "--sizes", "banana"])
+    def test_bad_sizes_is_usage_error(self):
+        code, _, _ = run_in_process(["bench", "--sizes", "banana"])
         assert code == 2
 
-    def test_negative_exponent_is_usage_error(self, capsys):
+    def test_negative_exponent_is_usage_error(self):
         import argparse
 
         for bad in ("2^-1", "2^-1..2^3", "8,2^-2"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_sizes(bad)
-        code, out, err = run_cli(capsys, ["bench", "--sizes", "2^-1"])
+        code, out, err = run_in_process(["bench", "--sizes", "2^-1"])
         assert code == 2 and out == ""
         assert "negative exponent" in err
 
-    def test_unknown_algorithm_in_list(self, capsys):
-        code, _, _ = run_cli(capsys, ["bench", "--algorithms", "uhs,warp"])
+    def test_unknown_algorithm_in_list(self):
+        code, _, _ = run_in_process(["bench", "--algorithms", "uhs,warp"])
         assert code == 2
 
-    def test_an_algorithm_or_size_named_twice_is_one_row(self, capsys):
+    def test_an_algorithm_or_size_named_twice_is_one_row(self):
         # two rows for one cell would share one measurement's wall_nanos
-        code, out, _ = run_cli(capsys, ["bench", "--algorithms", "uhs,merge,uhs",
-                                        "--sizes", "8,16,8"])
+        code, out, _ = run_in_process(["bench", "--algorithms", "uhs,merge,uhs",
+                                       "--sizes", "8,16,8"])
         assert code == 0
         cells = [",".join(line.split(",")[:2]) for line in out.splitlines()[1:]]
         assert cells == ["uhs,8", "uhs,16", "merge,8", "merge,16"]
 
-    def test_zero_trials_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["bench", "--trials", "0", "--algorithms", "uhs",
-                                        "--sizes", "16"])
+    def test_zero_trials_rejected(self):
+        code, _, err = run_in_process(["bench", "--trials", "0", "--algorithms", "uhs",
+                                       "--sizes", "16"])
         assert code == 2 and "--trials" in err
 
     @pytest.mark.parametrize("order", ["asc", "desc"])
-    def test_serial_and_pooled_runs_write_the_same_csv(self, capsys, monkeypatch, order):
+    def test_serial_and_pooled_runs_write_the_same_csv(self, monkeypatch, order):
         argv = ["bench", "--algorithms", "all", "--distributions", "all", "--trials", "2",
                 "--sizes", "2^4..2^7", "--seed", "3", "--order", order]
-        serial = run_on(1, capsys, monkeypatch, argv)
-        pooled = run_on(2, capsys, monkeypatch, argv)
+        serial = run_on(1, monkeypatch, argv)
+        pooled = run_on(2, monkeypatch, argv)
         assert serial[3] == 0 and pooled[3] == 2  # one worker per CPU
         assert serial[0] == pooled[0] == 0 and serial[2] == pooled[2] != ""
         rows = _without_wall_nanos(serial[1])
         assert rows == _without_wall_nanos(pooled[1])
         assert len(rows) == 1 + (7 * 5 - 1) * 4 * 2
 
-    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
         argv = ["bench", "--algorithms", "uhs,merge", "--sizes", "16,32"]
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            code, out, _, forks = run_on(2, capsys, monkeypatch, argv)
+            code, out, _, forks = run_on(2, monkeypatch, argv)
         finally:
             release.set()
             other.join(30)
@@ -444,7 +426,7 @@ class TestBenchCommand:
         lambda n: Unrebuildable(n, "cannot sort"),
     ], ids=["picklable", "unrebuildable"])
     def test_a_sort_that_raises_in_a_cell_raises_the_same_serial_or_pooled(
-        self, capsys, monkeypatch, error
+        self, monkeypatch, error
     ):
         # two cells raise; both runs report the same one, and a pooled run
         # raises it in this process, even when it could not come back from a worker
@@ -460,14 +442,14 @@ class TestBenchCommand:
             with monkeypatch.context() as m:
                 m.setattr(instrumentation, "merge_sort", merge_sort)
                 with pytest.raises(Exception) as e:
-                    run_on(cpus, capsys, monkeypatch, argv, forks)
+                    run_on(cpus, monkeypatch, argv, forks)
             raised.append((type(e.value), str(e.value), len(forks)))
         assert raised[0][:2] == raised[1][:2]
         assert raised[0][0] is type(error(0))
         assert raised[0][1] in ("merge cannot sort 32 keys", "merge cannot sort 128 keys")
         assert [forks for _, _, forks in raised] == [0, 2]
 
-    def test_many_tiny_cells_take_at_most_32_tasks(self, capsys, monkeypatch):
+    def test_many_tiny_cells_take_at_most_32_tasks(self, monkeypatch):
         # 340 cells of up to 512 keys: each task costs a pool round trip, so
         # the cells are dealt into 32 tasks, none of more than ceil(340 / 32)
         sweep_task, tasks = cli._sweep_task, []
@@ -479,7 +461,7 @@ class TestBenchCommand:
         monkeypatch.setattr(cli, "_sweep_task", counting)
         argv = ["bench", "--algorithms", "all", "--sizes", "1..2^9", "--distributions", "all",
                 "--seed", "3"]
-        code, out, _, forks = run_on(1, capsys, monkeypatch, argv)
+        code, out, _, forks = run_on(1, monkeypatch, argv)
         assert code == 0 and forks == 0
         assert len(tasks) <= 32 and max(tasks) <= math.ceil(340 / 32) and sum(tasks) == 340
         algorithms = ["insertion", "merge", "quick", "bucket", "radix", "bubble", "uhs"]
@@ -492,8 +474,8 @@ class TestBenchCommand:
 
 
 class TestStabilityCommand:
-    def test_verdict_lines_and_exit_zero(self, capsys):
-        code, out, _ = run_cli(capsys, ["stability", "--trials", "150"])
+    def test_verdict_lines_and_exit_zero(self):
+        code, out, _ = run_in_process(["stability", "--trials", "150"])
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 7
@@ -502,80 +484,95 @@ class TestStabilityCommand:
         assert by_alg["quick"].startswith("UNSTABLE witness=")
         assert by_alg["uhs"].startswith("UNSTABLE witness=")
 
-    def test_algorithm_filter(self, capsys):
-        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge,uhs",
-                                        "--trials", "100"])
+    def test_algorithm_filter(self):
+        code, out, _ = run_in_process(["stability", "--algorithms", "merge,uhs",
+                                       "--trials", "100"])
         assert code == 0
         assert len(out.strip().split("\n")) == 2
 
-    def test_an_algorithm_named_twice_runs_once(self, capsys):
-        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "uhs,merge,uhs",
-                                        "--trials", "10"])
+    def test_an_algorithm_named_twice_runs_once(self):
+        code, out, _ = run_in_process(["stability", "--algorithms", "uhs,merge,uhs",
+                                       "--trials", "10"])
         assert code == 0
         assert out == "uhs: UNSTABLE witness=[0, 0]\nmerge: STABLE(trials=1087)\n"
 
-    def test_readme_example_is_what_the_command_prints(self, capsys):
+    def test_readme_example_is_what_the_command_prints(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge,uhs"])
+        code, out, _ = run_in_process(["stability", "--algorithms", "merge,uhs"])
         assert code == 0
         example = "".join(f"# {line}\n" for line in out.splitlines())
         assert "sortlab stability --algorithms merge,uhs\n" + example in readme, out
 
-    def test_verdict_against_the_design_sets_exit_one(self, capsys, monkeypatch):
+    def test_verdict_against_the_design_sets_exit_one(self, monkeypatch):
         # uhs sorts in order but reorders equal keys, so a merge that is uhs
         # is found unstable, which its design says it is not
         monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
-        code, out, _ = run_cli(capsys, ["stability", "--algorithms", "merge", "--trials", "10"])
+        code, out, _ = run_in_process(["stability", "--algorithms", "merge", "--trials", "10"])
         assert code == 1
         assert out == "merge: UNSTABLE witness=[0, 0]\n"
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_non_positive_trials_rejected(self, capsys, trials):
-        code, out, err = run_cli(
-            capsys, ["stability", "--trials", trials, "--algorithms", "merge"]
-        )
+    def test_non_positive_trials_rejected(self, trials):
+        code, out, err = run_in_process(["stability", "--trials", trials, "--algorithms", "merge"])
         assert code == 2
         assert out == ""
         assert "--trials must be >= 1" in err
 
 
 class TestVerifyCommand:
-    def test_injected_fault_is_caught(self, capsys, monkeypatch):
+    def test_injected_fault_is_caught(self, monkeypatch):
         # A sift kernel that never moves anything must fail the heap check;
         # every heap entry point looks the kernel up at call time.
         with monkeypatch.context() as m:
             m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
-            code, out, _ = run_cli(capsys, ["verify", "--only", "heap-invariants"])
+            code, out, _ = run_in_process(["verify", "--only", "heap-invariants"])
         assert code == 1
         assert "heap-invariants: FAIL" in out
         assert "construction broke the heap property" in out
-        code, out, _ = run_cli(capsys, ["verify", "--only", "heap-invariants"])
+        code, out, _ = run_in_process(["verify", "--only", "heap-invariants"])
         assert code == 0 and "PASS" in out
 
-    def test_unstable_stand_in_for_a_stable_sort_fails_differential(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("name, stand_in, detail", [
+        ("Heap", type("Unclimbing", (heap_core.Heap,), {"push": _appends_without_climbing}),
+         "pushes broke the heap property"),
+        ("Heap", type("OffByOne", (heap_core.Heap,),
+                      {"pop_root": lambda heap: heap_core.Heap.pop_root(heap) + 1}),
+         "drain order wrong for {keys}"),
+        ("uhs_sort", lambda a: None, "sort disagreed with oracle on {keys}"),
+    ], ids=["push", "drain", "sort"])
+    def test_each_heap_invariants_failure_prints_its_line(self, monkeypatch, name, stand_in,
+                                                           detail):
+        rng = random.Random(0)  # the keys of seed 0's first trial
+        keys = [rng.randint(-999, 999) for _ in range(rng.randint(0, 128))]
+        monkeypatch.setattr(cli, name, stand_in)
+        expected = f"heap-invariants: FAIL\n  trial 0: {detail.format(keys=keys)}\n"
+        assert run_in_process(["verify", "--only", "heap-invariants", "--seed", "0"]) == (
+            1, expected, "")
+
+    def test_unstable_stand_in_for_a_stable_sort_fails_differential(self, monkeypatch):
         # uhs returns every key in order but reorders equal ones, so only a
         # payload-exact check can tell it from merge sort
         monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
-        code, out, _ = run_cli(capsys, ["verify", "--only", "differential"])
+        code, out, _ = run_in_process(["verify", "--only", "differential"])
         assert code == 1
         assert "differential: FAIL" in out
         assert any(": merge " in line and "unstable" in line for line in out.splitlines())
 
-    def test_unknown_check_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["verify", "--only", "nosuch"])
+    def test_unknown_check_is_usage_error(self):
+        code, _, _ = run_in_process(["verify", "--only", "nosuch"])
         assert code == 2
 
-    def test_serial_and_parallel_runs_print_the_same(self, capsys, monkeypatch):
+    def test_serial_and_parallel_runs_print_the_same(self, monkeypatch):
         argv = ["verify", "--only", "build-cost,heap-invariants,differential,dynamic"]
-        serial = run_on(1, capsys, monkeypatch, argv)
-        parallel = run_on(2, capsys, monkeypatch, argv)
+        serial = run_on(1, monkeypatch, argv)
+        parallel = run_on(2, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2  # one worker per CPU
         assert serial[:3] == parallel[:3] == (0, serial[1], "")
         assert serial[1].splitlines() == [
             f"{name}: PASS" for name in ("build-cost", "heap-invariants", "differential", "dynamic")
         ]
 
-    def test_a_check_named_twice_runs_and_prints_once(self, capsys, monkeypatch):
+    def test_a_check_named_twice_runs_and_prints_once(self, monkeypatch):
         dynamic_scenario, calls = cli.dynamic_scenario, []
 
         def counting(ops):
@@ -585,41 +582,40 @@ class TestVerifyCommand:
         argv = ["verify", "--only", "dynamic,build-cost,dynamic"]
         with monkeypatch.context() as m:
             m.setattr(cli, "dynamic_scenario", counting)
-            serial = run_on(1, capsys, monkeypatch, argv)
-        parallel = run_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, monkeypatch, argv)
+        parallel = run_on(2, monkeypatch, argv)
         assert len(calls) == 1
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3] == (
             0, "dynamic: PASS\nbuild-cost: PASS\n", "")
 
-    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            code, out, _, forks = run_on(
-                2, capsys, monkeypatch, ["verify", "--only", "build-cost,dynamic"])
+            code, out, _, forks = run_on(2, monkeypatch, ["verify", "--only", "build-cost,dynamic"])
         finally:
             release.set()
             other.join(30)
         assert not other.is_alive()
         assert forks == 0 and code == 0 and out == "build-cost: PASS\ndynamic: PASS\n"
 
-    def test_fault_in_a_worker_is_reported_like_a_serial_one(self, capsys, monkeypatch):
+    def test_fault_in_a_worker_is_reported_like_a_serial_one(self, monkeypatch):
         # forked workers inherit the broken kernel, and their failure comes
         # back with the same verdict and detail lines
         argv = ["verify", "--only", "heap-invariants,differential"]
         with monkeypatch.context() as m:
             m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
-            serial = run_on(1, capsys, monkeypatch, argv)
-            parallel = run_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, monkeypatch, argv)
+            parallel = run_on(2, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3]
         code, out, _, _ = parallel
         assert code == 1
         assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
 
-    def test_tables_print_reproduce_tables_for_the_seed(self, capsys, monkeypatch):
+    def test_tables_print_reproduce_tables_for_the_seed(self, monkeypatch):
         # fast stand-ins for the work of the parts take the seed, and the
         # space rows fail: verify prints exactly reproduce_tables(seed)
         fit = GrowthClass(Complexity.LINEAR, 0.0)
@@ -638,8 +634,8 @@ class TestVerifyCommand:
             for name, stub in stubs.items():
                 m.setattr(analysis, name, stub)
             text = analysis.reproduce_tables(3).as_text()
-            serial = run_on(1, capsys, monkeypatch, argv)
-            pooled = run_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, monkeypatch, argv)
+            pooled = run_on(2, monkeypatch, argv)
         expected = "tables: FAIL\n" + "".join(f"  {line}\n" for line in text.splitlines())
         assert "seed 3" in text and "OVER" in text
         assert serial == (1, expected, "", 0)
@@ -660,16 +656,15 @@ class TestVerifyCommand:
           (analysis, "stability_check", lambda algorithm, trials, seed: None)],
          "tables", "tables: FAIL\n  costs must be strictly positive\n"),
     ], ids=["build-cost-raises", "tables-raises"])
-    def test_a_raising_check_fails_with_its_message(self, capsys, monkeypatch, patches, checks,
-                                                    expected):
+    def test_a_raising_check_fails_with_its_message(self, monkeypatch, patches, checks, expected):
         # build_cost_audit and growth_fit raise; verify reports what they
         # raised as the check's detail, on one CPU and on two alike
         argv = ["verify", "--only", checks]
         with monkeypatch.context() as m:
             for patch in patches:
                 m.setattr(*patch)
-            serial = run_on(1, capsys, monkeypatch, argv)
-            parallel = run_on(2, capsys, monkeypatch, argv)
+            serial = run_on(1, monkeypatch, argv)
+            parallel = run_on(2, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
         assert serial[:3] == parallel[:3]
         code, out, err, _ = serial
@@ -678,8 +673,7 @@ class TestVerifyCommand:
         assert "Traceback" not in out
 
 
-def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch,
-                                                         reproduced_tables):
+def test_verify_assembles_reproduce_tables_from_the_parts(monkeypatch, reproduced_tables):
     # the pooled tables check runs the parts as jobs and puts together the
     # very report reproduce_tables(0) makes: every fit and residual, budget,
     # witness and trial count. A serial run is reproduce_tables(seed) itself,
@@ -693,12 +687,12 @@ def test_verify_assembles_reproduce_tables_from_the_parts(capsys, monkeypatch,
 
     monkeypatch.setattr(analysis, "assemble_tables", spy)
     argv = ["verify", "--only", "tables", "--seed", "0"]
-    assert run_on(2, capsys, monkeypatch, argv) == (0, "tables: PASS\n", "", 2)
+    assert run_on(2, monkeypatch, argv) == (0, "tables: PASS\n", "", 2)
     assert reports == [reproduced_tables]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_gives_each_verdict_its_own_results_in_job_order(capsys, monkeypatch, cpus):
+def test_verify_gives_each_verdict_its_own_results_in_job_order(monkeypatch, cpus):
     # checks of several jobs, asked for out of _CHECKS' order: each verdict
     # gets its own jobs' results, in the order of its jobs, serially and pooled
     def jobs(name, count):
@@ -712,7 +706,7 @@ def test_verify_gives_each_verdict_its_own_results_in_job_order(capsys, monkeypa
     expected = ("dynamic: FAIL\n  dynamic 0 seed 5\n  dynamic 1 seed 5\n  dynamic 2 seed 5\n"
                 "heap-invariants: PASS\n"
                 "build-cost: FAIL\n  build-cost 0 seed 5\n  build-cost 1 seed 5\n")
-    assert run_on(cpus, capsys, monkeypatch, argv) == (1, expected, "", 0 if cpus == 1 else 2)
+    assert run_on(cpus, monkeypatch, argv) == (1, expected, "", 0 if cpus == 1 else 2)
 
 
 def test_every_verify_check_has_a_job_and_a_verdict():
@@ -778,6 +772,29 @@ def test_a_full_stdout_exits_2_with_one_line(argv, unbuffered):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("cannot write stdout: ")
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sort", "-o"],
+    ["bench", "--sizes", "16", "--algorithms", "uhs", "--csv"],
+], ids=["sort", "bench"])
+def test_an_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_in_process([*argv, str(path)], "3\n1\n")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["bench", "--algorithms"], "algorithm"),
+    (["stability", "--algorithms"], "algorithm"),
+    (["bench", "--distributions"], "distribution"),
+    (["verify", "--only"], "check"),
+], ids=["bench-algorithms", "stability-algorithms", "distributions", "verify-only"])
+def test_a_list_of_nothing_is_a_usage_error(argv, what):
+    code, out, err = run_in_process([*argv, ","])
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {argv[-1]}: no {what} given\n"), err
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TaggedElement
+from conftest import key_type
 from fingerprints import tie_census
 
 import sortlab.instrumentation as instrumentation
@@ -27,45 +27,6 @@ from sortlab.instrumentation import (
 from sortlab.uhs_sort import SortOrder
 
 
-class _Tally:
-    """Makes a key type count every ``<``, ``<=``, ``>`` and ``>=`` it takes
-    part in, in one total that all such keys share."""
-
-    __slots__ = ()
-    made = 0
-
-    def __lt__(self, other):
-        _Tally.made += 1
-        return super().__lt__(other)
-
-    def __le__(self, other):
-        _Tally.made += 1
-        return super().__le__(other)
-
-    def __gt__(self, other):
-        _Tally.made += 1
-        return super().__gt__(other)
-
-    def __ge__(self, other):
-        _Tally.made += 1
-        return super().__ge__(other)
-
-
-class _TallyInt(_Tally, int):
-    __slots__ = ()
-
-
-class _TallyFloat(_Tally, float):
-    __slots__ = ()
-
-
-def _tallied(run):
-    """What ``run()`` returns, and how many comparisons tally keys made meanwhile."""
-    before = _Tally.made
-    result = run()
-    return result, _Tally.made - before
-
-
 class TestReportsEqualTallies:
     """Each report against the comparisons its keys counted themselves."""
 
@@ -82,32 +43,29 @@ class TestReportsEqualTallies:
         # uhs_sort's case is counted_sort calling it, build included
         rng = random.Random(300)
         raw = [rng.randrange(100) for _ in range(300)]  # ties
-        if SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT:
-            keys = [_TallyFloat(r / 100) for r in raw]
-        else:
-            keys = list(map(_TallyInt, raw))
-        (_, counters), made = _tallied(
-            lambda: counted_sort(algorithm, keys, order, seed=0, pivot=pivot))
+        floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+        Key = key_type(float if floats else int)
+        keys = [Key(r / 100 if floats else r) for r in raw]
+        _, counters = counted_sort(algorithm, keys, order, seed=0, pivot=pivot)
         uncounted = self.UNCOUNTED_PER_KEY.get(algorithm, 0) * len(keys)
-        assert made == counters.comparisons + uncounted
+        assert Key.made == counters.comparisons + uncounted
 
     @pytest.mark.parametrize("order", list(HeapOrder))
     def test_build_and_each_heap_operation(self, order):
         rng = random.Random(5)
         counters = OpCounters()
-        heap, made = _tallied(
-            lambda: build([_TallyInt(rng.randrange(50)) for _ in range(200)], order, counters))
-        assert made == counters.comparisons
+        Key = key_type()
+        heap = build([Key(rng.randrange(50)) for _ in range(200)], order, counters)
+        assert Key.made == counters.comparisons
         ops = {
-            "push": lambda: heap.push(_TallyInt(rng.randrange(50)), counters),
+            "push": lambda: heap.push(Key(rng.randrange(50)), counters),
             "pop_root": lambda: heap.pop_root(counters),
             "remove_at": lambda: heap.remove_at(rng.randrange(len(heap)), counters),
         }
         for step in range(300):
             op = rng.choice(list(ops) if len(heap) else ["push"])
-            before = counters.comparisons
-            _, made = _tallied(ops[op])
-            assert made == counters.comparisons - before, (step, op)
+            ops[op]()
+            assert Key.made == counters.comparisons, (step, op)
 
 
 class TestOpCounters:
@@ -202,18 +160,6 @@ class TestSpecs:
             assert expected == [{kind} for kind in shown], name
 
 
-class TestTaggedElement:
-    def test_orders_by_key_only(self):
-        assert TaggedElement(1, 9) < TaggedElement(2, 0)
-        assert TaggedElement(2, 0) > TaggedElement(1, 9)
-        assert TaggedElement(1, 0) == TaggedElement(1, 5)
-        assert TaggedElement(1, 0) <= TaggedElement(1, 5)
-        assert TaggedElement(3, 0) >= TaggedElement(3, 1)
-
-    def test_repr_shows_key_and_origin(self):
-        assert repr(TaggedElement(7, 2)) == "<7:2>"
-
-
 class TestCountedSort:
     def test_sorts_in_place_and_returns_same_list(self):
         a = [3, 1, 2]
@@ -265,13 +211,26 @@ class TestStabilityCheck:
 
     def test_witness_reproduces_when_rerun(self):
         verdict = stability_check(AlgorithmId.UHS, trials=50)
-        arr = [TaggedElement(k, i) for i, k in enumerate(verdict.witness)]
+        Key = key_type()
+        arr = [Key(k, i) for i, k in enumerate(verdict.witness)]
         counted_sort(AlgorithmId.UHS, arr)
         breached = any(
-            arr[i - 1].key == arr[i].key and arr[i - 1].origin > arr[i].origin
+            arr[i - 1] == arr[i] and arr[i - 1].label > arr[i].label
             for i in range(1, len(arr))
         )
         assert breached
+
+    @pytest.mark.parametrize("faults, message", [
+        (["missorted"], r"merge missorted \[.+\]"),
+        (["unstable", None], r"witness \[.+\] did not reproduce"),
+    ], ids=["missorted", "unreproduced"])
+    def test_a_fault_it_cannot_report_raises(self, monkeypatch, faults, message):
+        # sort_fault's answers, one a call: a missorted run, or a witness
+        # that sorts stably when it is run again
+        answers = iter(faults)
+        monkeypatch.setattr(instrumentation, "sort_fault", lambda *args: next(answers))
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            stability_check(AlgorithmId.MERGE, trials=10)
 
     def test_stable_verdict_has_no_witness(self):
         verdict = stability_check(AlgorithmId.MERGE, trials=200)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TaggedElement
+from conftest import key_type
 
 from sortlab.counting import OpCounters
 from sortlab.heap_core import HeapOrder, build, is_heap
@@ -152,9 +152,10 @@ class TestLoopInvariant:
         # uhs_sort's extraction loop, so the invariant is audited after each
         # pop and the drain must then agree with uhs_sort element for element.
         rng = random.Random(77)
+        Key = key_type()
         for _ in range(200):
             keys = [rng.randint(-40, 40) for _ in range(rng.randint(0, 80))]
-            a = [TaggedElement(k, i) for i, k in enumerate(keys)]
+            a = [Key(k, i) for i, k in enumerate(keys)]
             b = a[:]
             drain_counts = OpCounters()
             h = build(b, HEAP_ORDER[order], drain_counts)
@@ -164,7 +165,7 @@ class TestLoopInvariant:
                 assert sorted_region_invariant(b, len(h), order), (keys, len(h))
             sort_counts = OpCounters()
             uhs_sort(a, order, sort_counts)
-            assert [e.origin for e in reversed(drained)] == [e.origin for e in a]
+            assert [e.label for e in reversed(drained)] == [e.label for e in a]
             assert drain_counts.as_dict() == sort_counts.as_dict()
 
     def test_invariant_helper_accepts_valid_split(self):
@@ -186,6 +187,7 @@ class TestStabilityBehavior:
     def test_two_equal_keys_swap_origins(self):
         # extraction moves the root past the last element, reordering equal
         # keys: by design
-        a = [TaggedElement(1, 0), TaggedElement(1, 1)]
+        Key = key_type()
+        a = [Key(1, 0), Key(1, 1)]
         uhs_sort(a)
-        assert [t.origin for t in a] == [1, 0]
+        assert [t.label for t in a] == [1, 0]
