@@ -57,30 +57,42 @@ def _insertion_loop(a: list, asc: bool) -> tuple[int, int]:
 
     The Python loop only compares: each insertion scans left from ``a[i]``
     past every element that must come after it, then one C-level ``del``
-    and ``insert`` pair moves the whole run. The counts are those of the
-    textbook loop that shifts one element at a time: a comparison per
-    element shifted, plus one with the element the scan stops at unless it
-    ran off the front, and a move per element shifted plus one for ``x``.
-    Nothing is written while a comparison runs, so if one raises, ``a`` is
-    left as it was after the last completed insertion. The order test runs
-    once per element, which costs about 10% on input already in order.
+    and ``insert`` pair moves the whole run. The scan's first comparison,
+    with ``a[i - 1]``, is made inline, and an element already in place costs
+    no more; the rest of the scan is a ``for`` loop over the indices below,
+    which ends at the element the scan stops at or runs off the front. The
+    counts are those of the textbook loop that shifts one element at a time:
+    a comparison per element shifted, plus one with the element the scan
+    stops at unless it ran off the front, and a move per element shifted
+    plus one for ``x``. Nothing is written while a comparison runs, so if
+    one raises, ``a`` is left as it was after the last completed insertion.
     """
     cmp = moves = 0
     for i in range(1, len(a)):
         x = a[i]
-        j = i - 1
         if asc:
-            while j >= 0 and a[j] > x:
-                j -= 1
+            if not a[i - 1] > x:
+                cmp += 1
+                continue
+            for j in range(i - 2, -1, -1):
+                if not a[j] > x:
+                    break
+            else:
+                j = -1
         else:
-            while j >= 0 and a[j] < x:
-                j -= 1
+            if not a[i - 1] < x:
+                cmp += 1
+                continue
+            for j in range(i - 2, -1, -1):
+                if not a[j] < x:
+                    break
+            else:
+                j = -1
         shifted = i - 1 - j
         cmp += shifted + (j >= 0)
-        if shifted:
-            del a[i]
-            a.insert(j + 1, x)
-            moves += shifted + 1
+        del a[i]
+        a.insert(j + 1, x)
+        moves += shifted + 1
     return cmp, moves
 
 

@@ -202,20 +202,31 @@ def _read_values(args) -> list:
     return values
 
 
+def _open(path: str | None):
+    """The file at ``path`` opened for writing, or None (stdout) when there is no path.
+
+    A file that cannot be opened is a rejection.
+    """
+    try:
+        return open(path, "w") if path else None
+    except OSError as e:
+        raise _Rejected(f"cannot write {path}: {e}") from None
+
+
 @contextlib.contextmanager
-def _output(path: str | None = None):
-    """The file at ``path`` opened for writing, or stdout when there is no path.
+def _output(fh=None):
+    """Writes to ``fh``, a file from `_open` that is closed at the end, or to stdout.
 
     Stdout is flushed at the end. A failed write is a rejection; a stdout that
     failed is then aimed at devnull, so that the flush at exit cannot raise again.
     """
     try:
-        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-            yield fh
-            fh.flush()
+        with fh or contextlib.nullcontext(sys.stdout) as out:
+            yield out
+            out.flush()
     except OSError as e:
-        if path:
-            raise _Rejected(f"cannot write {path}: {e}") from None
+        if fh:
+            raise _Rejected(f"cannot write {fh.name}: {e}") from None
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -236,7 +247,7 @@ def _cmd_sort(args) -> int:
                                    pivot=PivotRule(args.pivot))
     except KeyDomainError as e:
         raise _Rejected(str(e)) from None
-    with _output(args.output) as fh:
+    with _output(_open(args.output)) as fh:  # opened late, so a file can sort onto itself
         for start in range(0, len(values), _CHUNK):
             chunk = tuple(values[start:start + _CHUNK])
             fh.write("%s\n" * len(chunk) % chunk)
@@ -259,19 +270,23 @@ def _cmd_bench(args) -> int:
         names = ",".join(a.value for a in int_only)
         print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
     # The cells, costliest first, dealt round-robin into at most 32 tasks:
-    # few pool round trips, and no task holds more than ceil(cells / 32).
+    # few jobs for the workers to take, and no task holds more than ceil(cells / 32).
     ranked = sorted(cells, key=lambda c: cell_cost(c[0], c[1]), reverse=True)
     tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
     run = functools.partial(_sweep_task, options=dict(
         trials=args.trials, seed=args.seed, order=SortOrder(args.order), pivot=PivotRule(args.pivot)
     ))
-    done = {}
-    for task, (ok, results) in zip(tasks, _job_results(run, tasks)):
-        # a task that raised runs again here, to raise the same exception in this process
-        done.update(zip(task, results if ok else run(task)))
-    records = [record for cell in cells for record in done[cell]]
-    with _output(args.csv) as fh:
-        write_csv(records, fh)
+    # --csv is opened before the sweep, so that a path that cannot be written fails first;
+    # the file is closed if the sweep raises, and what it raises is not a failed write
+    csv_file = _open(args.csv)
+    with csv_file or contextlib.nullcontext():
+        done = {}
+        for task, (ok, results) in zip(tasks, _job_results(run, tasks)):
+            # a task that raised runs again here, to raise the same exception in this process
+            done.update(zip(task, results if ok else run(task)))
+        records = [record for cell in cells for record in done[cell]]
+        with _output(csv_file) as fh:
+            write_csv(records, fh)
     return 0
 
 
@@ -388,28 +403,87 @@ def _job_results(run, jobs: list) -> list:
     """``[_attempt(run, job) for job in jobs]``, on every CPU this process may use.
 
     With more than one job and more than one CPU that this process may run
-    on, the jobs run on a pool of forked workers, one per CPU, which starts
-    them in the order given; otherwise they run here, one after another.
-    Either way the results are the same. The pool's modules are imported
-    only when a pool is used. Forked workers see the process as it is,
-    patched functions included.
+    on, the jobs run in forked workers, one per CPU and at most one per job,
+    with no process pool (`_forked`); otherwise they run here, one after
+    another. Either way the results are the same. Forked workers see the
+    process as it is, patched functions included.
     """
     attempt = functools.partial(_attempt, run)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else 1, len(jobs))
     if workers > 1:
-        import multiprocessing
         import threading
 
-        # A fork copies only the calling thread, so it is unsafe while others run.
-        if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        # A fork copies only the calling thread, so it is unsafe while others run;
+        # and a job index must fit in the one byte `_forked` sends for it.
+        if threading.active_count() > 1 or not hasattr(os, "fork") or len(jobs) > 256:
             workers = 1
     if workers < 2:
         return list(map(attempt, jobs))
-    from concurrent.futures import ProcessPoolExecutor
+    return _forked(attempt, jobs, workers)
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(attempt, jobs))
+
+def _forked(attempt, jobs: list, workers: int) -> list:
+    """``[attempt(job) for job in jobs]`` in ``workers`` forked processes.
+
+    Before the first fork, one write puts every job's index, a byte each, on
+    a pipe that all the workers read. Each worker takes the next index until
+    the pipe is empty, so the jobs start in the order given. It then sends
+    its ``(index, result)`` pairs back on a pipe of its own, pickled once, and
+    ends with `os._exit`. This process only hands out the jobs and collects
+    the results. A worker that ends with any other status than 0 is an error.
+    """
+    import pickle
+
+    todo, todo_end = os.pipe()
+    os.write(todo_end, bytes(range(len(jobs))))
+    os.close(todo_end)
+    pids, readers = [], []
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(attempt, jobs, todo, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        payloads = [reader.read() for reader in readers]
+    finally:
+        while os.read(todo, 256):  # after an error, a worker stops after the job it runs
+            pass
+        os.close(todo)
+        for reader in readers:
+            reader.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, status in zip(pids, statuses):
+        if status:
+            how = f"exit status {status}" if status > 0 else f"signal {-status}"
+            raise RuntimeError(f"worker process {pid} ended with {how}")
+    results = [None] * len(jobs)
+    for payload in payloads:
+        for index, result in pickle.loads(payload):
+            results[index] = result
+    return results
+
+
+def _work(attempt, jobs: list, todo: int, out: int):
+    """A forked worker of `_forked`: runs the jobs whose indices it reads from ``todo``,
+    writes their pickled ``(index, result)`` pairs to ``out``, and exits; it never returns."""
+    status = 1
+    try:
+        import pickle
+
+        done = []
+        while taken := os.read(todo, 1):
+            done.append((taken[0], attempt(jobs[taken[0]])))
+        with open(out, "wb") as fh:
+            pickle.dump(done, fh)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _cmd_verify(args) -> int:

@@ -7,7 +7,7 @@ as committed:
     PYTHONPATH=src python tests/fingerprints.py | diff tests/fingerprints.txt -
 
 Most outputs are a ``sortlab`` command run in this process (bench still
-forks its pool): ``sort --stats`` stdout and stderr on seeded keys and the
+forks its workers): ``sort --stats`` stdout and stderr on seeded keys and the
 count columns of ``bench`` (``cut -d, -f1-9``) with its stderr, each with its
 exit status. Two are not commands: the text of verify's seed-0 tables, and
 the stability census of every tie pattern of six keys (`tie_census`).

@@ -450,8 +450,9 @@ class TestBenchCommand:
         assert [forks for _, _, forks in raised] == [0, 2]
 
     def test_many_tiny_cells_take_at_most_32_tasks(self, monkeypatch):
-        # 340 cells of up to 512 keys: each task costs a pool round trip, so
-        # the cells are dealt into 32 tasks, none of more than ceil(340 / 32)
+        # 340 cells of up to 512 keys: each task is one job for a worker to take
+        # and send back, so the cells are dealt into 32 tasks, none of more than
+        # ceil(340 / 32)
         sweep_task, tasks = cli._sweep_task, []
 
         def counting(cells, options):
@@ -719,16 +720,117 @@ def test_every_verify_check_has_a_job_and_a_verdict():
     assert {verdict for jobs, verdict in cli._CHECKS.values() if len(jobs) == 1} == {cli._as_is}
 
 
+_VERIFY_ARGV = ["verify", "--only", "build-cost,heap-invariants,dynamic"]
+_BENCH_ARGV = ["bench", "--algorithms", "all", "--sizes", "2^4..2^6", "--seed", "3"]
+
+
+class TestForkedWorkers:
+    def test_three_cpus_give_the_serial_outputs_with_three_forks(self, monkeypatch):
+        for argv in (_BENCH_ARGV, _VERIFY_ARGV):
+            serial = run_on(1, monkeypatch, argv)
+            three = run_on(3, monkeypatch, argv)
+            assert (serial[3], three[3]) == (0, 3)
+            assert serial[0] == three[0] == 0 and serial[2] == three[2]
+            assert _without_wall_nanos(serial[1]) == _without_wall_nanos(three[1])
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--algorithms", "uhs", "--sizes", "16"], ["verify", "--only", "dynamic"],
+    ], ids=["bench", "verify"])
+    def test_one_job_runs_here(self, monkeypatch, argv):
+        code, _, _, forks = run_on(4, monkeypatch, argv)
+        assert (code, forks) == (0, 0)
+
+    def test_no_fork_on_a_platform_without_it(self, monkeypatch):
+        serial = run_on(1, monkeypatch, _BENCH_ARGV)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, out, _ = run_in_process(_BENCH_ARGV)
+        assert code == 0 and _without_wall_nanos(out) == _without_wall_nanos(serial[1])
+
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    def test_a_worker_that_ends_raises_its_exit_status_and_is_reaped(self, monkeypatch, command):
+        # one job ends its worker; the other workers run on, and every
+        # worker is waited for before the error is raised
+        pid, sweep_task = os.getpid(), cli._sweep_task
+
+        def ends_at_32_keys(cells, options):
+            if os.getpid() != pid and any(n == 32 for _, n, _ in cells):
+                os._exit(3)
+            return sweep_task(cells, options)
+
+        if command == "bench":
+            monkeypatch.setattr(cli, "_sweep_task", ends_at_32_keys)
+            argv = _BENCH_ARGV
+        else:
+            ends = (lambda seed: os._exit(3) if os.getpid() != pid else (True, []),)
+            monkeypatch.setitem(cli._CHECKS, "dynamic", (ends, cli._as_is))
+            argv = _VERIFY_ARGV
+        forks = []
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended with exit status 3$"):
+            run_on(2, monkeypatch, argv, forks)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_raises_as_itself_and_the_worker_forked_is_reaped(
+        self, monkeypatch, tmp_path
+    ):
+        # the second fork fails: that OSError is what bench raises, not a
+        # failed write to --csv, and the first worker stops and is waited for
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(BlockingIOError, match="Resource temporarily unavailable"):
+            run_in_process([*_BENCH_ARGV, "--csv", str(tmp_path / "out.csv")])
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_a_pooled_run_leaves_no_descriptor_open(self, monkeypatch, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        for argv in ([*_BENCH_ARGV, "--csv", str(tmp_path / "out.csv")], _VERIFY_ARGV):
+            code, _, _, forks = run_on(2, monkeypatch, argv)
+            assert (code, forks) == (0, 2)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_job_list_too_long_for_one_write_runs_here(self, monkeypatch):
+        # a job's index goes to the workers as one byte, so 256 jobs fork
+        # and 257 run serially, with the same results
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for jobs, fork_count in ((256, 2), (257, 0)):
+            forks.clear()
+            assert cli._job_results(str, list(range(jobs))) == [(True, str(i)) for i in range(jobs)]
+            assert len(forks) == fork_count
+
+
 def test_importing_the_cli_loads_no_process_pool():
-    # every `sortlab sort` process pays for what `import sortlab.cli` loads;
-    # only verify's pool needs these modules
-    code = (
-        "import sys, sortlab.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
-    )
+    # every `sortlab sort` process pays for what `import sortlab.cli` loads,
+    # and the forked workers of bench and verify need none of these modules
+    code = """if True:
+        import os, sys
+        import sortlab.cli as cli
+        loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1}
+        cli.main(['bench', '--sizes', '2^4..2^5', '--algorithms', 'uhs'])
+        cli.main(['verify', '--only', 'build-cost,dynamic'])
+        print(loaded, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules],
+              len(forks))
+    """
     out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out.splitlines()[-1] == "[] [] 4"
 
 
 _WRITERS = pytest.mark.parametrize("argv", [
@@ -774,11 +876,18 @@ def test_a_full_stdout_exits_2_with_one_line(argv, unbuffered):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+def _raises_if_called(*args, **kwargs):
+    raise AssertionError("a sort ran")
+
+
 @pytest.mark.parametrize("argv", [
     ["sort", "-o"],
     ["bench", "--sizes", "16", "--algorithms", "uhs", "--csv"],
 ], ids=["sort", "bench"])
-def test_an_output_in_a_missing_directory_exits_2_with_one_line(tmp_path, argv):
+def test_an_output_in_a_missing_directory_exits_2_with_one_line(monkeypatch, tmp_path, argv):
+    # bench opens --csv before its sweep, so no sort runs; sort opens -o
+    # after sorting, so that a file can sort onto itself
+    monkeypatch.setattr(analysis, "counted_sort", _raises_if_called)
     path = tmp_path / "missing" / "out.txt"
     code, out, err = run_in_process([*argv, str(path)], "3\n1\n")
     assert (code, out) == (2, "")
