@@ -185,7 +185,10 @@ def _read_values(args) -> list:
     parse = float if args.float else int
     values = []
     try:
-        source = open(args.input, newline="\n") if args.input else contextlib.nullcontext(sys.stdin)
+        if args.input is None:  # only no -i at all is stdin; an empty path is a path
+            source = contextlib.nullcontext(sys.stdin)
+        else:
+            source = open(args.input, newline="\n")
         with source as lines:
             for ln, raw in enumerate(lines, 1):
                 try:
@@ -198,17 +201,18 @@ def _read_values(args) -> list:
                     raise _Rejected(f"input line {ln}: NaN and infinities cannot be sorted")
                 values.append(value)
     except (OSError, UnicodeDecodeError) as e:
-        raise _Rejected(f"cannot read {args.input or 'stdin'}: {e}") from None
+        name = "stdin" if args.input is None else args.input
+        raise _Rejected(f"cannot read {name}: {e}") from None
     return values
 
 
 def _open(path: str | None):
-    """The file at ``path`` opened for writing, or None (stdout) when there is no path.
+    """The file at ``path`` opened for writing, or None (stdout) when ``path`` is None.
 
     A file that cannot be opened is a rejection.
     """
     try:
-        return open(path, "w") if path else None
+        return None if path is None else open(path, "w")
     except OSError as e:
         raise _Rejected(f"cannot write {path}: {e}") from None
 
@@ -273,17 +277,18 @@ def _cmd_bench(args) -> int:
     # few jobs for the workers to take, and no task holds more than ceil(cells / 32).
     ranked = sorted(cells, key=lambda c: cell_cost(c[0], c[1]), reverse=True)
     tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
-    run = functools.partial(_sweep_task, options=dict(
+    options = dict(
         trials=args.trials, seed=args.seed, order=SortOrder(args.order), pivot=PivotRule(args.pivot)
-    ))
+    )
+    jobs = [functools.partial(_sweep_task, task, options) for task in tasks]
     # --csv is opened before the sweep, so that a path that cannot be written fails first;
     # the file is closed if the sweep raises, and what it raises is not a failed write
     csv_file = _open(args.csv)
     with csv_file or contextlib.nullcontext():
         done = {}
-        for task, (ok, results) in zip(tasks, _job_results(run, tasks)):
+        for task, job, (ok, results) in zip(tasks, jobs, _job_results(jobs)):
             # a task that raised runs again here, to raise the same exception in this process
-            done.update(zip(task, results if ok else run(task)))
+            done.update(zip(task, results if ok else job()))
         records = [record for cell in cells for record in done[cell]]
         with _output(csv_file) as fh:
             write_csv(records, fh)
@@ -384,23 +389,20 @@ _CHECKS = {
 }
 
 
-def _run_job(job: tuple[str, int], seed: int):
-    """Run job (check, index) of `_CHECKS` with the seed."""
-    name, index = job
-    return _CHECKS[name][0][index](seed)
-
-
-def _attempt(run, job) -> tuple[bool, object]:
-    """(True, run(job)), or (False, the message of what it raised): unlike an
+def _attempt(job) -> tuple[bool, object]:
+    """(True, job()), or (False, the message of what it raised): unlike an
     exception from outside sortlab, a message always survives the trip back from a worker."""
     try:
-        return True, run(job)
+        return True, job()
     except Exception as e:
         return False, str(e)
 
 
-def _job_results(run, jobs: list) -> list:
-    """``[_attempt(run, job) for job in jobs]``, on every CPU this process may use.
+def _job_results(jobs: list) -> list:
+    """``[_attempt(job) for job in jobs]``, on every CPU this process may use.
+
+    Each job is a callable that takes no arguments. Only its index goes to a
+    worker and only its result comes back, so a job need not be picklable.
 
     With more than one job and more than one CPU that this process may run
     on, the jobs run in forked workers, one per CPU and at most one per job,
@@ -408,7 +410,6 @@ def _job_results(run, jobs: list) -> list:
     another. Either way the results are the same. Forked workers see the
     process as it is, patched functions included.
     """
-    attempt = functools.partial(_attempt, run)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)) if affinity else 1, len(jobs))
     if workers > 1:
@@ -419,12 +420,12 @@ def _job_results(run, jobs: list) -> list:
         if threading.active_count() > 1 or not hasattr(os, "fork") or len(jobs) > 256:
             workers = 1
     if workers < 2:
-        return list(map(attempt, jobs))
-    return _forked(attempt, jobs, workers)
+        return list(map(_attempt, jobs))
+    return _forked(jobs, workers)
 
 
-def _forked(attempt, jobs: list, workers: int) -> list:
-    """``[attempt(job) for job in jobs]`` in ``workers`` forked processes.
+def _forked(jobs: list, workers: int) -> list:
+    """``[_attempt(job) for job in jobs]`` in ``workers`` forked processes.
 
     Before the first fork, one write puts every job's index, a byte each, on
     a pipe that all the workers read. Each worker takes the next index until
@@ -446,7 +447,7 @@ def _forked(attempt, jobs: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(attempt, jobs, todo, w)
+                    _work(jobs, todo, w)
             finally:
                 os.close(w)
             pids.append(pid)
@@ -469,7 +470,7 @@ def _forked(attempt, jobs: list, workers: int) -> list:
     return results
 
 
-def _work(attempt, jobs: list, todo: int, out: int):
+def _work(jobs: list, todo: int, out: int):
     """A forked worker of `_forked`: runs the jobs whose indices it reads from ``todo``,
     writes their pickled ``(index, result)`` pairs to ``out``, and exits; it never returns."""
     status = 1
@@ -478,7 +479,7 @@ def _work(attempt, jobs: list, todo: int, out: int):
 
         done = []
         while taken := os.read(todo, 1):
-            done.append((taken[0], attempt(jobs[taken[0]])))
+            done.append((taken[0], _attempt(jobs[taken[0]])))
         with open(out, "wb") as fh:
             pickle.dump(done, fh)
         status = 0
@@ -488,8 +489,8 @@ def _work(attempt, jobs: list, todo: int, out: int):
 
 def _cmd_verify(args) -> int:
     names = args.only if args.only else list(_CHECKS)
-    jobs = [(name, i) for name in names for i in range(len(_CHECKS[name][0]))]
-    results = iter(_job_results(functools.partial(_run_job, seed=args.seed), jobs))
+    jobs = [functools.partial(part, args.seed) for name in names for part in _CHECKS[name][0]]
+    results = iter(_job_results(jobs))
     all_ok = True
     for name in names:
         check_jobs, verdict = _CHECKS[name]

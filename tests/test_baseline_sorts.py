@@ -7,8 +7,6 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import key_type
 
@@ -52,22 +50,6 @@ class TestInsertion:
         # every insertion shifts i elements then places the moved one
         assert c.element_moves == sum(i + 1 for i in range(1, 100))
 
-    def test_no_auxiliary(self):
-        a = [3, 1, 2] * 50
-        c = OpCounters()
-        insertion_sort(a, counters=c)
-        assert c.aux_peak_slots == 0 and c.recursion_peak == 0
-
-    @given(st.lists(st.integers(), max_size=80))
-    def test_property_equals_sorted(self, xs):
-        got = xs[:]
-        insertion_sort(got)
-        assert got == sorted(xs)
-
-    def test_descending(self):
-        a = [5, 1, 4, 1, 5]
-        insertion_sort(a, SortOrder.DESCENDING)
-        assert a == [5, 5, 4, 1, 1]
 
 
 class TestBubble:
@@ -85,17 +67,6 @@ class TestBubble:
         assert c.comparisons == 99
         assert c.swaps == 0
 
-    def test_no_auxiliary(self):
-        c = OpCounters()
-        bubble_sort([4, 2, 9, 2], counters=c)
-        assert c.aux_peak_slots == 0 and c.recursion_peak == 0
-
-    @given(st.lists(st.integers(), max_size=80))
-    def test_property_equals_sorted(self, xs):
-        got = xs[:]
-        bubble_sort(got)
-        assert got == sorted(xs)
-
 
 class TestMerge:
     def test_two_element_exact_count(self):
@@ -112,12 +83,6 @@ class TestMerge:
         merge_sort(a, counters=c)
         assert c.comparisons == 8 // 2 * 3
 
-    def test_scratch_is_exactly_n(self):
-        for n in (2, 3, 17, 256):
-            c = OpCounters()
-            merge_sort(list(range(n, 0, -1)), counters=c)
-            assert c.aux_peak_slots == n
-
     def test_recursion_depth_logarithmic(self):
         # halving a run of n reaches runs of one after ceil(log2(n)) levels
         for n in (*range(2, 301), 4097):
@@ -132,19 +97,6 @@ class TestMerge:
         c = OpCounters()
         merge_sort(a, counters=c)
         assert c.comparisons <= n * math.ceil(math.log2(n))
-
-    @given(st.lists(st.integers(), max_size=120))
-    def test_property_equals_sorted(self, xs):
-        got = xs[:]
-        merge_sort(got)
-        assert got == sorted(xs)
-
-    @given(st.lists(st.integers(), max_size=120))
-    @settings(max_examples=50)
-    def test_property_descending(self, xs):
-        got = xs[:]
-        merge_sort(got, SortOrder.DESCENDING)
-        assert got == sorted(xs, reverse=True)
 
 
 class TestQuick:
@@ -188,11 +140,6 @@ class TestQuick:
         assert a == list(range(n))
         assert c.comparisons <= 4 * n * math.log2(n)  # far below n^2/2
 
-    def test_no_auxiliary_slots(self):
-        c = OpCounters()
-        quicksort([5, 3, 8, 1], counters=c)
-        assert c.aux_peak_slots == 0
-
     def test_same_seed_same_counts(self):
         base = [9, 2, 5, 2, 7, 1, 8] * 10
         runs = []
@@ -202,19 +149,6 @@ class TestQuick:
             runs.append(c.as_dict())
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("pivot", list(PivotRule))
-    def test_property_equals_sorted(self, pivot):
-        rng = random.Random(13)
-        for _ in range(120):
-            a = [rng.randint(-20, 20) for _ in range(rng.randint(0, 60))]
-            got = a[:]
-            quicksort(got, pivot=pivot, seed=1)
-            assert got == sorted(a)
-            got = a[:]
-            quicksort(got, SortOrder.DESCENDING, pivot=pivot, seed=1)
-            assert got == sorted(a, reverse=True)
-
-
 class TestBucket:
     def test_rejects_keys_outside_unit_interval(self):
         with pytest.raises(KeyDomainError):
@@ -223,14 +157,6 @@ class TestBucket:
             bucket_sort([-0.1])
         with pytest.raises(KeyDomainError):
             bucket_sort([2])
-
-    def test_aux_slots_at_most_two_n(self):
-        rng = random.Random(1)
-        n = 2**12
-        a = [rng.random() for _ in range(n)]
-        c = OpCounters()
-        bucket_sort(a, counters=c)
-        assert c.aux_peak_slots <= 2 * n
 
     def test_uniform_keys_stay_near_linear(self):
         rng = random.Random(14)
@@ -248,24 +174,6 @@ class TestBucket:
         bucket_sort(a)
         assert [x.label for x in a] == ["a", "a2", "b", "c"]
         assert sorted(map(id, a)) == sorted(map(id, items))
-
-    def test_descending(self):
-        a = [0.1, 0.9, 0.5, 0.5]
-        bucket_sort(a, SortOrder.DESCENDING)
-        assert a == [0.9, 0.5, 0.5, 0.1]
-
-    def test_empty_is_noop(self):
-        a: list = []
-        c = OpCounters()
-        bucket_sort(a, counters=c)
-        assert a == [] and c.aux_peak_slots == 0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1, exclude_max=True), max_size=80))
-    @settings(max_examples=60)
-    def test_property_equals_sorted(self, xs):
-        got = xs[:]
-        bucket_sort(got)
-        assert got == sorted(xs)
 
 
 class TestRadixPlan:
@@ -291,14 +199,6 @@ class TestRadix:
             assert c.element_moves == digits * n, top
             assert c.comparisons == 0 and c.swaps == 0
 
-    def test_aux_is_n_plus_base(self):
-        rng = random.Random(2)
-        n = 1000
-        a = [rng.randrange(65536) for _ in range(n)]
-        c = OpCounters()
-        radix_sort(a, counters=c)
-        assert c.aux_peak_slots == n + 256
-
     def test_rejects_bad_keys(self):
         with pytest.raises(KeyDomainError):
             radix_sort([1.5])
@@ -309,11 +209,6 @@ class TestRadix:
         with pytest.raises(KeyDomainError):
             radix_sort([-1])
 
-    def test_default_plan_covers_max_key(self):
-        a = [256, 0, 70000, 3]
-        radix_sort(a)
-        assert a == [0, 3, 256, 70000]
-
     def test_records_sort_as_int_subclasses(self):
         # a record sorts by the value it is; its payload rides along, stably
         Key = key_type()
@@ -322,27 +217,6 @@ class TestRadix:
         radix_sort(a)
         assert [x.label for x in a] == ["a", "a2", "b", "c"]
         assert sorted(map(id, a)) == sorted(map(id, items))
-
-    def test_descending(self):
-        a = [512, 1, 70000, 1]
-        radix_sort(a, SortOrder.DESCENDING)
-        assert a == [70000, 512, 1, 1]
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**24), max_size=80))
-    @settings(max_examples=60)
-    def test_property_equals_sorted(self, xs):
-        got = xs[:]
-        radix_sort(got)
-        assert got == sorted(xs)
-
-
-@pytest.mark.parametrize("sort", [insertion_sort, bubble_sort, merge_sort, quicksort],
-                         ids=["insertion", "bubble", "merge", "quick"])
-def test_trivial_sizes_cost_nothing(sort):
-    for a in ([], [5]):
-        c = OpCounters()
-        sort(a, counters=c)
-        assert c.as_dict() == OpCounters().as_dict()
 
 
 # What a sort may hold above its input beyond the slots it reports: frames,

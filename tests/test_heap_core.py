@@ -211,7 +211,7 @@ class TestBuild:
         assert c.element_moves == 0
         assert c.comparisons > 0
 
-    def test_trivial_sizes_cost_nothing(self):
+    def test_building_a_trivial_heap_costs_nothing(self):
         for a in ([], [42]):
             c = OpCounters()
             build(a, counters=c)

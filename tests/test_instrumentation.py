@@ -102,16 +102,6 @@ class TestOpCounters:
         assert shared.aux_peak_slots == 2 * len(large)
         assert shared.recursion_peak == merge.recursion_peak > 0
 
-    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
-    @pytest.mark.parametrize("order", list(SortOrder))
-    def test_every_sort_sorts_without_counters(self, algorithm, order):
-        domain = SPECS[algorithm].keys
-        raw = [7, 3, 3, 250, 0, 19, 300, 7, 1, 64]
-        keys = [r / 301 for r in raw] if domain is KeyDomain.UNIT_FLOAT else raw
-        arr = keys[:]
-        getattr(instrumentation, SPECS[algorithm].sort)(arr, order)
-        assert arr == sorted(keys, reverse=order is SortOrder.DESCENDING)
-
 
 class TestSpecs:
     def test_one_row_per_algorithm_in_enum_order(self):
@@ -167,17 +157,6 @@ class TestCountedSort:
         assert out is a
         assert a == [1, 2, 3]
         assert counters.comparisons > 0
-
-    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
-    def test_every_algorithm_dispatches(self, algorithm):
-        data = [0.5, 0.125, 0.25] if algorithm is AlgorithmId.BUCKET else [5, 1, 3]
-        out, _ = counted_sort(algorithm, data)
-        assert out == sorted(out)
-
-    def test_descending_dispatch(self):
-        a = [1, 3, 2]
-        counted_sort(AlgorithmId.UHS, a, SortOrder.DESCENDING)
-        assert a == [3, 2, 1]
 
     def test_key_rejected_for_comparison_sorts(self):
         a = [2, 1]
