@@ -5,8 +5,7 @@ its exact counts and bounds among it, is tested in its module."""
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies as st
 
 import sortlab.instrumentation as instrumentation
 from sortlab.baseline_sorts import AlgorithmId, PivotRule
@@ -14,11 +13,12 @@ from sortlab.counting import OpCounters
 from sortlab.instrumentation import SPECS, KeyDomain, counted_sort
 from sortlab.uhs_sort import SortOrder
 
-EACH_SORT = pytest.mark.parametrize("algorithm, pivot", [
+SORTS = [
     pytest.param(a, p, id=f"{a.value}-{p.value}" if "pivot" in s.options else a.value)
     for a, s in SPECS.items()
     for p in (PivotRule if "pivot" in s.options else [PivotRule.RANDOM_SEEDED])
-])
+]
+EACH_SORT = pytest.mark.parametrize("algorithm, pivot", SORTS)
 EACH_ORDER = pytest.mark.parametrize("order", list(SortOrder), ids=lambda order: order.value)
 ELEMENTS = {  # a list draws all its keys from one of these; ints draw ties often
     KeyDomain.COMPARABLE: (st.integers(), st.floats(allow_nan=False)),
@@ -50,11 +50,11 @@ def test_sorts_every_list_of_domain_keys(algorithm, pivot):
 
 
 @EACH_ORDER
-@EACH_SORT
-def test_trivial_sizes_cost_nothing(algorithm, pivot, order):
-    # a distribution sort makes its passes over one key; a comparison sort does nothing
-    for keys in [[], [0]] if SPECS[algorithm].keys is KeyDomain.COMPARABLE else [[]]:
-        assert counted_sort(algorithm, keys, order, pivot=pivot)[1] == OpCounters(), keys
+@pytest.mark.parametrize("algorithm, pivot, keys", [  # a distribution sort passes over one key
+    pytest.param(*s.values, k, id=f"{s.id}-n{len(k)}") for s in SORTS for k in ([], [0])
+    if not k or SPECS[s.values[0]].keys is KeyDomain.COMPARABLE])
+def test_trivial_sizes_cost_nothing(algorithm, pivot, order, keys):
+    assert counted_sort(algorithm, keys, order, pivot=pivot)[1] == OpCounters()
 
 
 @EACH_ORDER
