@@ -34,7 +34,10 @@ heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 ``Heap.pop_root`` runs it once; ``Heap.push`` and ``Heap.remove_at`` run the
 same climb from their own start. Each runs its loops inline, so that an
 operation costs one call: sharing one loop across frames measured 3-15%
-slower on both the sort and the priority queue.
+slower on both the sort and the priority queue. ``pop_root`` keeps its own
+leafward loop because, as ``a[0] = a[last]`` followed by ``_sift_down``, it
+made the same comparisons but took a median 1.26x the time on the priority
+queue.
 
 Every sift holds one element out of the list and moves a hole instead of
 swapping pairs, so heap code reports no swaps: every write of an element

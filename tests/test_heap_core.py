@@ -1,11 +1,10 @@
-import heapq
 import operator
 import random
 from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import key_type
@@ -20,14 +19,6 @@ from sortlab.heap_core import (
     build,
     is_heap,
 )
-from sortlab.baseline_sorts import (
-    bubble_sort,
-    bucket_sort,
-    insertion_sort,
-    merge_sort,
-    quicksort,
-)
-from sortlab.uhs_sort import SortOrder, uhs_sort
 
 
 def _ancestor_oracle(a, order):
@@ -75,40 +66,6 @@ class TestIsHeap:
         assert is_heap([])
         assert is_heap([42])
         assert is_heap([3, 3, 3, 3])
-
-
-class TestSiftDown:
-    def test_single_level_left(self):
-        a = [1, 5, 3]
-        # one child moves up into the hole, then the held 1 lands: two writes
-        assert _sift_down(a, 3, 0, True) == (2, 2)
-        assert a == [5, 1, 3]
-
-    def test_single_level_right(self):
-        a = [1, 2, 5]
-        assert _sift_down(a, 3, 0, True) == (2, 2)
-        assert a == [5, 2, 1]
-
-    def test_full_descent_costs_one_comparison_per_level_plus_one(self):
-        a = [14 - i for i in range(15)]  # perfect max-heap
-        a[0] = -1
-        # one comparison per level down to the leaf and one that stops the
-        # search back up at it; three children move up one level each, then
-        # the held -1 lands
-        assert _sift_down(a, 15, 0, True) == (4, 4)
-        assert is_heap(a)
-
-    def test_equal_children_left_wins(self):
-        Key = key_type()
-        a = [Key(0, 0), Key(7, 1), Key(7, 2)]
-        _sift_down(a, 3, 0, True)
-        assert a[0].label == 1
-
-    def test_parent_tied_with_children_stays_put(self):
-        Key = key_type()
-        a = [Key(7, 0), Key(7, 1), Key(3, 2)]
-        assert _sift_down(a, 3, 0, True) == (2, 0)
-        assert [t.label for t in a] == [0, 1, 2]
 
 
 def _top_down_sift(a, n, hole, gt):
@@ -166,17 +123,6 @@ class TestBottomUpSiftDown:
 
 
 class TestBuild:
-    def test_golden_five_element_example(self):
-        a = [1, 2, 3, 4, 5]
-        c = OpCounters()
-        h = build(a, counters=c)
-        assert a == [5, 4, 3, 1, 2]
-        assert h.elements is a
-        assert len(h) == 5
-        # node 1 sinks one level (2 comparisons, 2 writes), the root two
-        # levels (3 comparisons, 3 writes)
-        assert (c.comparisons, c.element_moves) == (5, 5)
-
     def test_comparison_bound_two_n(self):
         rng = random.Random(11)
         for n in [2, 3, 4, 5, 6, 7, 8, 16, 31, 32, 33, 100, 1024]:
@@ -236,29 +182,12 @@ class TestHeapLifecycle:
         with pytest.raises(EmptyHeapError):
             h.pop_root()
 
-    def test_push_counts_frozen_example(self):
-        h = Heap([9, 5, 7])
-        c = OpCounters()
-        h.push(10, c)
-        assert h.elements == [10, 9, 7, 5]
-        # 5 and 9 each move down a level, then 10 lands at the root
-        assert (c.comparisons, c.swaps, c.element_moves) == (2, 0, 3)
-
     def test_pop_single_element_costs_nothing(self):
         h = Heap([5])
         c = OpCounters()
         assert h.pop_root(c) == 5
         assert len(h) == 0
         assert c.as_dict() == OpCounters().as_dict()
-
-    def test_pop_root_descends_with_one_comparison_per_level(self):
-        h = Heap([14 - i for i in range(15)])  # perfect max-heap, 4 levels
-        c = OpCounters()
-        assert h.pop_root(c) == 14
-        assert h.elements == [13, 11, 12, 7, 10, 9, 8, 0, 6, 5, 4, 3, 2, 1, 14]
-        # three levels to the leaf, one comparison to stop 0 climbing; writes:
-        # the root to the freed slot, three children up, then 0 at the leaf
-        assert (c.comparisons, c.element_moves) == (4, 5)
 
     def test_push_reuses_slack_slot(self):
         h = Heap([5, 4, 1])
@@ -267,50 +196,6 @@ class TestHeapLifecycle:
         h.push(2)
         assert len(h.elements) == 3 and len(h) == 3
         assert is_heap(h.elements)
-
-    def test_matches_heapq_under_interleaved_ops(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            h = Heap(order=HeapOrder.MIN_AT_ROOT)
-            mirror: list = []
-            for _ in range(rng.randint(1, 60)):
-                if mirror and rng.random() < 0.4:
-                    assert h.pop_root() == heapq.heappop(mirror)
-                else:
-                    v = rng.randint(-50, 50)
-                    h.push(v)
-                    heapq.heappush(mirror, v)
-                if mirror:
-                    assert h.peek() == mirror[0]
-            drained = [h.pop_root() for _ in range(len(h))]
-            assert drained == sorted(mirror)
-
-    def test_max_drain_is_descending(self):
-        rng = random.Random(3)
-        vals = [rng.randint(0, 20) for _ in range(40)]
-        h = build(list(vals))
-        assert [h.pop_root() for _ in range(len(h))] == sorted(vals, reverse=True)
-
-    def test_remove_at_returns_element_and_keeps_heap(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            n = rng.randint(1, 50)
-            vals = rng.sample(range(1000), n)
-            h = build(list(vals))
-            i = rng.randrange(n)
-            removed = h.remove_at(i)
-            assert is_heap(h.elements, h.heap_size)
-            rest = sorted(h.elements[: h.heap_size])
-            expect = sorted(vals)
-            expect.remove(removed)
-            assert rest == expect
-
-    def test_remove_at_can_need_a_sift_up(self):
-        a = [100, 10, 99, 1, 2, 98, 97]
-        h = Heap(a)
-        assert h.remove_at(3) == 1
-        assert is_heap(a, h.heap_size)
-        assert sorted(a[: h.heap_size]) == [2, 10, 97, 98, 99, 100]
 
     def test_remove_last_just_shrinks(self):
         h = Heap([9, 4, 7])
@@ -330,15 +215,6 @@ class TestHeapLifecycle:
         h = Heap([9, 4])
         h.pop_root()
         assert repr(h) == "Heap([4], order=max)"  # stale slack slot hidden
-
-    @given(st.lists(st.integers(), max_size=120))
-    @settings(max_examples=60)
-    def test_property_push_all_drain_sorted(self, xs):
-        h = Heap(order=HeapOrder.MIN_AT_ROOT)
-        for x in xs:
-            h.push(x)
-        assert [h.pop_root() for _ in range(len(h))] == sorted(xs)
-
 
 class _RefHeap:
     """The heap operations as plain loops, counting each comparison and write
@@ -421,21 +297,28 @@ def _labels(elements):
     return [getattr(e, "label", None) for e in elements]
 
 
-@pytest.mark.parametrize("order", list(HeapOrder))
-def test_heap_operations_match_reference_loops(order):
-    # a seeded stream that grows the heap to a few hundred keys, then drains
-    # it to empty and back, over keys with many ties; after every operation
-    # the results, counts, backing lists (slack included) and comparison
-    # logs must agree
+@pytest.mark.parametrize("top", [15, 10**6], ids=["ties", "spread"])
+@pytest.mark.parametrize("order", list(HeapOrder), ids=lambda order: order.value)
+def test_heap_operations_match_reference_loops(order, top):
+    # a seeded stream that grows the heap to a few hundred keys from 0..top,
+    # then drains it to empty and back, dozens of times. After every
+    # operation the results, counts, backing lists (slack included) and
+    # comparison logs must agree with the reference loops, the live prefix
+    # must be a heap, and what pop_root and remove_at return must come out of
+    # a multiset of the live keys, pop_root's as its extreme. The last two
+    # checks compare plain ints, so their comparisons stay out of the logs.
     rng = random.Random(31)
     want, got = key_type(log=[]), key_type(log=[])
     ref, heap = _RefHeap(order), Heap(order=order)
+    extreme = max if order is HeapOrder.MAX_AT_ROOT else min
+    live = Counter()
     for step in range(3000):
         size = ref.size
         r = rng.random()
-        if not size or r < (0.7 if step < 1200 else 0.4):
-            key = rng.randint(0, 15)
+        if not size or r < (0.7 if step < 1200 else 0.37):
+            key = rng.randint(0, top)
             op, args = "push", ((want(key, step),), (got(key, step),))
+            live[key] += 1
         elif r < 0.8:
             op, args = "pop_root", ((), ())
         else:
@@ -449,16 +332,24 @@ def test_heap_operations_match_reference_loops(order):
         assert c.swaps == 0
         assert len(heap) == ref.size, (step, op)
         assert _labels(heap.elements) == _labels(ref.a), (step, op)
+        values = list(map(int, heap.elements[:len(heap)]))
+        assert is_heap(values, order=order), (step, op)
+        if op != "push":
+            value = int(result)
+            assert live[value] > 0, (step, op)
+            if op == "pop_root":
+                assert value == extreme(+live), step
+            live[value] -= 1
+    assert Counter(values) == +live
     assert got.log == want.log
     assert len(want.log) > 10_000
 
 
 class TestExceptionSafety:
     @pytest.mark.parametrize("run", [
-        uhs_sort,
         build,
         lambda a: _sift_down(a, len(a), 0, True),
-    ], ids=["uhs_sort", "build", "sift_down"])
+    ], ids=["build", "sift_down"])
     def test_raising_comparison_leaves_a_permutation(self, run):
         a = [3, "x", 1, 2]
         with pytest.raises(TypeError):
@@ -484,30 +375,6 @@ class TestExceptionSafety:
                 else:
                     assert spend >= count, spend
                     assert a == done, spend
-
-    @pytest.mark.parametrize("order", list(SortOrder))
-    @pytest.mark.parametrize(
-        "sort", [insertion_sort, bubble_sort, merge_sort, quicksort, bucket_sort],
-        ids=["insertion", "bubble", "merge", "quick", "bucket"])
-    def test_raising_comparison_leaves_baseline_sorts_a_permutation(self, sort, order):
-        rng = random.Random(12)
-        unit = sort is bucket_sort  # bucket keys must be numbers in [0, 1)
-        raised = 0
-        for spend in range(200):
-            Key = key_type(float if unit else int, budget=spend)
-            items = [Key(rng.randint(0, 9) / 10 if unit else rng.randint(0, 9))
-                     for _ in range(24)]
-            a = items[:]
-            try:
-                sort(a, order)
-            except RuntimeError:
-                raised += 1
-                if unit:  # every bucket is sorted before any is written back
-                    assert all(map(operator.is_, a, items)), spend
-            assert Counter(map(id, a)) == Counter(map(id, items)), spend
-        # bucket sort's range check spends two comparisons per key before
-        # any bucket is sorted; more raises than that reach the insertion loop
-        assert raised > (2 * 24 if unit else 0)
 
     def test_failed_push_leaves_heap_unchanged(self):
         h = Heap([3, 1])
