@@ -12,14 +12,16 @@ list but are unconstrained.
 Two hole-based loops sift, each taking ``mx`` (True for a max-at-root
 heap) and comparing inline, ``(a > b) if mx else (a < b)``:
 
-- ``_sift_down`` (``build`` and ``Heap.remove_at``) is a bottom-up sift
-  after Wegener (TCS 118, 1993) and McDiarmid & Reed (J. Algorithms 10,
-  1989). It walks the dominant-child path to a leaf with one comparison per
-  level that has two children, searches back up for the deepest path node
-  that strictly dominates the sifted element, then rotates the element into
-  place. It leaves the same arrangement and makes the same writes as the
-  classic top-down sift, and it writes nothing until every comparison is
-  done, so a comparison that raises leaves the list unchanged.
+- ``_sift_down`` is a bottom-up sift after Wegener (TCS 118, 1993) and
+  McDiarmid & Reed (J. Algorithms 10, 1989), run at each hole it is given,
+  in order. It walks the dominant-child path to a leaf with one comparison
+  per level that has two children, searches back up for the deepest path
+  node that strictly dominates the sifted element, then rotates the element
+  into place. It leaves the same arrangement and makes the same writes as
+  the classic top-down sift. It writes nothing for a hole until every
+  comparison of that hole is done, so a comparison that raises leaves only
+  the earlier holes sifted: ``build`` leaves a permutation, and a failed
+  ``remove_at`` (one hole) leaves the heap unchanged.
 - The leafward extraction is a step of Wegener's BOTTOM-UP-HEAPSORT. The
   root moves to the last live slot, which leaves the heap, and the element
   displaced from there is held. The hole left at the root walks to a leaf
@@ -30,14 +32,16 @@ heap) and comparing inline, ``(a > b) if mx else (a < b)``:
   moves down a level into the hole, and it lands in the hole below the
   first one it does not.
 
-``_sift_leafward`` runs the extraction n - 1 times to drain ``uhs_sort``, and
-``Heap.pop_root`` runs it once; ``Heap.push`` and ``Heap.remove_at`` run the
-same climb from their own start. Each runs its loops inline, so that an
-operation costs one call: sharing one loop across frames measured 3-15%
-slower on both the sort and the priority queue. ``pop_root`` keeps its own
-leafward loop because, as ``a[0] = a[last]`` followed by ``_sift_down``, it
-made the same comparisons but took a median 1.26x the time on the priority
-queue.
+``build`` sifts every internal node in one ``_sift_down`` call, and
+``Heap.remove_at`` sifts its one hole with it. ``_sift_leafward`` runs the
+extraction n - 1 times to drain ``uhs_sort``, and ``Heap.pop_root`` runs it
+once; ``Heap.push`` and ``Heap.remove_at`` run the same climb from their own
+start. Each runs its loops inline, so that an operation costs one call:
+sharing one loop across frames measured 3-15% slower on both the sort and the
+priority queue, and a call per internal node made ``build`` 1.17-1.50x slower.
+``pop_root`` keeps its own leafward loop because, as ``a[0] = a[last]``
+followed by ``_sift_down``, it made the same comparisons but took a median
+1.26x the time on the priority queue.
 
 Every sift holds one element out of the list and moves a hole instead of
 swapping pairs, so heap code reports no swaps: every write of an element
@@ -81,8 +85,8 @@ def is_heap(elements, size: int | None = None, order: HeapOrder = HeapOrder.MAX_
 # permutation of its input, even when a comparison raises.
 
 
-def _sift_down(a: list, n: int, hole: int, mx: bool) -> tuple[int, int]:
-    """Let a[hole] descend through a[0:n] until both children are dominated.
+def _sift_down(a: list, n: int, holes, mx: bool) -> tuple[int, int]:
+    """Sift each a[hole] of ``holes`` in turn down a[0:n]; sum their counts.
 
     The walk follows the dominant child (the right one only if it strictly
     dominates the left) down to a leaf, with one comparison per level that
@@ -92,32 +96,32 @@ def _sift_down(a: list, n: int, hole: int, mx: bool) -> tuple[int, int]:
     lifted a level and x written in its place. An x that stays put costs no
     write.
     """
-    x = a[hole]
-    j = hole
-    child = 2 * hole + 1
     pairs_end = n - 1  # child < pairs_end exactly when its right sibling is live
-    cmp = 0
-    while child < pairs_end:
-        cmp += 1
-        if (a[child + 1] > a[child]) if mx else (a[child + 1] < a[child]):
-            child += 1
-        j = child
-        child = 2 * child + 1
-    if child == pairs_end:
-        j = child
-    while j != hole:
-        cmp += 1
-        if (a[j] > x) if mx else (a[j] < x):
-            break
-        j = (j - 1) >> 1
-    if j == hole:
-        return cmp, 0
-    moves = 1
-    while j != hole:
-        a[j], x = x, a[j]
-        j = (j - 1) >> 1
-        moves += 1
-    a[hole] = x
+    cmp = moves = 0
+    for hole in holes:
+        x = a[hole]
+        j = hole
+        child = 2 * hole + 1
+        while child < pairs_end:
+            cmp += 1
+            if (a[child + 1] > a[child]) if mx else (a[child + 1] < a[child]):
+                child += 1
+            j = child
+            child = 2 * child + 1
+        if child == pairs_end:
+            j = child
+        while j != hole:
+            cmp += 1
+            if (a[j] > x) if mx else (a[j] < x):
+                break
+            j = (j - 1) >> 1
+        if j != hole:
+            moves += 1
+            while j != hole:
+                a[j], x = x, a[j]
+                j = (j - 1) >> 1
+                moves += 1
+            a[hole] = x
     return cmp, moves
 
 
@@ -319,7 +323,7 @@ class Heap:
             cmp = levels + 1 if hole else levels
             moves = levels + 2  # x's write and the removed element's move
             if not levels:
-                c, m = _sift_down(a, last, i, mx)
+                c, m = _sift_down(a, last, (i,), mx)
                 cmp += c
                 moves += m
         except BaseException:
@@ -349,8 +353,8 @@ def build(
 ) -> Heap:
     """Heapify ``elements`` in place bottom-up and return the resulting Heap.
 
-    Sift-down runs at indices n//2 - 1 down to 0; everything after the last
-    internal node is a one-element heap already. A node of height h costs
+    One ``_sift_down`` call sifts indices n//2 - 1 down to 0 in turn; every
+    index after them is a one-element heap already. A node of height h costs
     at most 2h comparisons, h down the path and h back up, so the total is
     at most 2*(n - 1) because node heights in a complete tree sum to at most
     n - 1. Per element, that is about 1.65 comparisons on random input and
@@ -363,12 +367,7 @@ def build(
     """
     heap = Heap(elements, order)
     n = len(elements)
-    mx = heap._mx
-    cmp = moves = 0
-    for i in range(n // 2 - 1, -1, -1):
-        c, m = _sift_down(elements, n, i, mx)
-        cmp += c
-        moves += m
+    cmp, moves = _sift_down(elements, n, range(n // 2 - 1, -1, -1), heap._mx)
     if counters is not None:
         counters.add(comparisons=cmp, element_moves=moves)
     return heap

@@ -6,9 +6,9 @@ one more extreme element across the boundary until one element remains.
 Ascending output uses a max-at-root heap, descending uses min-at-root, so
 no reversal pass (and no auxiliary storage) is ever needed.
 
-Both phases sift bottom-up. ``build`` runs ``heap_core``'s bottom-up
-sift-down at each internal node (about 1.65 comparisons per element on
-random input, at most 2(n - 1) in all). The extraction phase is Wegener's
+Both phases sift bottom-up. ``build`` sifts every internal node in one call
+of ``heap_core``'s bottom-up sift-down (about 1.65 comparisons per element
+on random input, at most 2(n - 1) in all). The extraction phase is Wegener's
 BOTTOM-UP-HEAPSORT (TCS 118, 1993), drained by one ``_sift_leafward`` call
 (``heap_core`` describes its leafward extraction). That measures about
 n lg n comparisons in all; the classic two-comparison sift measures about

@@ -434,7 +434,7 @@ class TestVerifyCommand:
         # A sift kernel that never moves anything must fail the heap check;
         # every heap entry point looks the kernel up at call time.
         with monkeypatch.context() as m:
-            m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
+            m.setattr(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))
             code, out, _ = run_in_process(["verify", "--only", "heap-invariants"])
         assert code == 1
         assert "heap-invariants: FAIL" in out
@@ -500,7 +500,7 @@ class TestVerifyCommand:
         # back with the same verdict and detail lines
         argv = ["verify", "--only", "heap-invariants,differential"]
         with monkeypatch.context() as m:
-            m.setattr(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))
+            m.setattr(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))
             serial = run_on(1, monkeypatch, argv)
             parallel = run_on(2, monkeypatch, argv)
         assert serial[3] == 0 and parallel[3] == 2
@@ -536,7 +536,7 @@ class TestVerifyCommand:
         assert pooled == (1, expected, "", 2)
 
     @pytest.mark.parametrize("patches,checks,expected", [
-        ([(heap_core, "_sift_down", lambda a, n, hole, mx: (0, 0))],
+        ([(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))],
          "build-cost,heap-invariants,differential",
          "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
          "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n"

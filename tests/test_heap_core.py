@@ -93,6 +93,42 @@ def _top_down_sift(a, n, hole, gt):
     return moves
 
 
+def _bottom_up_sift(a, n, hole, gt):
+    """The bottom-up sift as `_sift_down`'s docstring states it, one hole at
+    a time: the reference for the kernel's comparisons, writes and
+    arrangement.
+
+    It lists the path of dominant children (the right one only if it
+    strictly dominates the left) from the hole to a leaf, one comparison for
+    each node on it with two children; then looks back up the path, one
+    comparison a node, for the deepest node that strictly dominates x; then
+    lifts the path nodes above that one a level and writes x there. It
+    returns (comparisons, element writes).
+    """
+    x = a[hole]
+    path = [hole]
+    cmp = 0
+    while 2 * path[-1] + 1 < n:
+        child = 2 * path[-1] + 1
+        if child + 1 < n:
+            cmp += 1
+            if gt(a[child + 1], a[child]):
+                child += 1
+        path.append(child)
+    stop = len(path) - 1
+    while stop > 0:
+        cmp += 1
+        if gt(a[path[stop]], x):
+            break
+        stop -= 1
+    if stop == 0:
+        return cmp, 0
+    for k in range(stop):
+        a[path[k]] = a[path[k + 1]]
+    a[path[stop]] = x
+    return cmp, stop + 1
+
+
 class TestBottomUpSiftDown:
     @pytest.mark.parametrize("order", list(HeapOrder))
     def test_matches_top_down_reference(self, order):
@@ -117,9 +153,33 @@ class TestBottomUpSiftDown:
             ref[i] = got[i] = Key(rng.randint(0, n // 3 + 1), n)
             size = rng.randint(i + 1, n)
             ref_moves = _top_down_sift(ref, size, i, gt)
-            _, moves = _sift_down(got, size, i, order is HeapOrder.MAX_AT_ROOT)
+            _, moves = _sift_down(got, size, (i,), order is HeapOrder.MAX_AT_ROOT)
             assert [e.label for e in got] == [e.label for e in ref], (keys, i, size)
             assert moves == ref_moves, (keys, i, size)
+
+    @pytest.mark.parametrize("order", list(HeapOrder), ids=lambda order: order.value)
+    def test_build_is_one_reference_sift_per_internal_node(self, order):
+        # build's one kernel call over every internal node makes the
+        # comparisons, in the same order, and the writes and arrangement
+        # that a reference sift at each node in turn makes
+        gt = operator.gt if order is HeapOrder.MAX_AT_ROOT else operator.lt
+        rng = random.Random(37)
+        for _ in range(300):
+            n = rng.randint(0, 70)
+            keys = [rng.randint(0, n // 3 + 1) for _ in range(n)]  # many ties
+            want, got = key_type(log=[]), key_type(log=[])
+            ref = [want(k, i) for i, k in enumerate(keys)]
+            ref_cmp = ref_moves = 0
+            for i in range(n // 2 - 1, -1, -1):
+                c, m = _bottom_up_sift(ref, n, i, gt)
+                ref_cmp += c
+                ref_moves += m
+            a = [got(k, i) for i, k in enumerate(keys)]
+            counters = OpCounters()
+            build(a, order, counters)
+            assert _labels(a) == _labels(ref), keys
+            assert (counters.comparisons, counters.element_moves) == (ref_cmp, ref_moves), keys
+            assert got.log == want.log and got.made == ref_cmp, keys
 
 
 class TestBuild:
@@ -219,9 +279,8 @@ class TestHeapLifecycle:
 class _RefHeap:
     """The heap operations as plain loops, counting each comparison and write
     where it happens: a climb that searches the path before anything moves,
-    and pop_root's extraction as the leafward sift runs it. ``remove_at``
-    sifts down with the library kernel, which the tests above pin to the
-    top-down reference."""
+    pop_root's extraction as the leafward sift runs it, and remove_at's sift
+    down as `_bottom_up_sift`."""
 
     def __init__(self, order):
         self.a = []
@@ -287,7 +346,7 @@ class _RefHeap:
         a[last] = removed
         cmp, moves = self._climb(i, x)
         if moves == 1:  # x did not rise
-            c, m = _sift_down(a, last, i, self.mx)
+            c, m = _bottom_up_sift(a, last, i, self.gt)
             cmp += c
             moves += m
         return removed, (cmp, moves + 1)
@@ -348,7 +407,7 @@ def test_heap_operations_match_reference_loops(order, top):
 class TestExceptionSafety:
     @pytest.mark.parametrize("run", [
         build,
-        lambda a: _sift_down(a, len(a), 0, True),
+        lambda a: _sift_down(a, len(a), (0,), True),
     ], ids=["build", "sift_down"])
     def test_raising_comparison_leaves_a_permutation(self, run):
         a = [3, "x", 1, 2]
@@ -402,7 +461,7 @@ class TestExceptionSafety:
             items = list(map(key_type(budget=spend), keys))
             a = items[:]
             try:
-                _sift_down(a, len(a), 0, True)
+                _sift_down(a, len(a), (0,), True)
             except RuntimeError:
                 raised += 1
                 assert all(x is y for x, y in zip(a, items)), spend

@@ -10,7 +10,7 @@ from fingerprints import tie_census
 
 import sortlab.instrumentation as instrumentation
 from sortlab.analysis import _TIME_CASES, Complexity
-from sortlab.baseline_sorts import AlgorithmId, PivotRule, bucket_sort, merge_sort
+from sortlab.baseline_sorts import RADIX_BASE, AlgorithmId, PivotRule, bucket_sort, merge_sort
 from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import (
     SPECS,
@@ -131,13 +131,18 @@ class TestSpecs:
 
     def test_readme_table_matches_specs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `(\w+)`\s*\|([^|]*)\|.*\|\s*(yes|no)\s*\|$", readme,
+        rows = re.findall(r"^\| `(\w+)`\s*\|([^|]*)\|([^|]*)\|\s*(yes|no)\s*\|$", readme,
                           re.MULTILINE)
-        assert sorted(name for name, _, _ in rows) == sorted(a.value for a in AlgorithmId)
+        assert sorted(name for name, *_ in rows) == sorted(a.value for a in AlgorithmId)
         classes = {"n²": Complexity.QUADRATIC, "n log n": Complexity.LINEARITHMIC,
                    "n": Complexity.LINEAR}
-        for name, time, stable in rows:
+        # the aux-space cells, footnote marks dropped, as slots on n keys
+        slots = {"0 slots": lambda n: 0, "at most n": lambda n: n, "≤ 2n": lambda n: 2 * n,
+                 "n + k": lambda n: n + RADIX_BASE}
+        for name, time, space, stable in rows:
             assert (stable == "yes") == SPECS[AlgorithmId(name)].stable, name
+            budget = SPECS[AlgorithmId(name)].aux_budget
+            assert slots[space.strip(" ¹†")](1000) == budget(1000), name
             # "worst / average", each side a class with an optional note in parentheses
             if time.strip() == "d·(n+k) always":
                 shown = [Complexity.LINEAR, Complexity.LINEAR]
