@@ -34,55 +34,40 @@ def test_enum_values_are_frozen_identifiers():
     assert [p.value for p in PivotRule] == ["last", "median3", "random"]
 
 
-class TestInsertion:
-    def test_sorted_input_exact_count(self):
-        a = list(range(100))
-        c = OpCounters()
-        insertion_sort(a, counters=c)
-        assert c.comparisons == 99
-        assert c.element_moves == 0
+# Counts with a closed form: each row is a sort, its keys, its options and
+# the OpCounters fields it must report on them, in ascending order
+CLOSED_FORM = [
+    pytest.param(insertion_sort, range(100), {}, dict(comparisons=99, element_moves=0),
+                 id="insertion-sorted"),
+    # every insertion shifts i keys, then places the one it moved
+    pytest.param(insertion_sort, range(99, -1, -1), {},
+                 dict(comparisons=100 * 99 // 2, element_moves=sum(i + 1 for i in range(1, 100))),
+                 id="insertion-reversed"),
+    pytest.param(bubble_sort, range(100), {}, dict(comparisons=99, swaps=0),
+                 id="bubble-sorted-exits-early"),
+    pytest.param(bubble_sort, range(99, -1, -1), {},
+                 dict(comparisons=100 * 99 // 2, swaps=100 * 99 // 2), id="bubble-reversed"),
+    pytest.param(merge_sort, [2, 1], {}, dict(comparisons=1, element_moves=3), id="merge-two"),
+    # the left run runs out after width / 2 comparisons at every merge
+    pytest.param(merge_sort, range(8), {}, dict(comparisons=8 // 2 * 3), id="merge-sorted-8"),
+    # the larger side is never recursed into, so sorted input stays at depth 1
+    pytest.param(quicksort, range(1000), dict(pivot=PivotRule.LAST_ELEMENT),
+                 dict(recursion_peak=1), id="quick-last-sorted-stays-shallow"),
+    # one pass per byte of the largest key, and at least one; one key is placed once a pass
+    *(pytest.param(radix_sort, [top], {}, dict(element_moves=passes), id=f"radix-{top}")
+      for top, passes in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 3))),
+]
 
-    def test_reversed_input_exact_count(self):
-        a = list(range(99, -1, -1))
-        c = OpCounters()
-        insertion_sort(a, counters=c)
-        assert c.comparisons == 100 * 99 // 2
-        # every insertion shifts i elements then places the moved one
-        assert c.element_moves == sum(i + 1 for i in range(1, 100))
 
-
-
-class TestBubble:
-    def test_reversed_input_exact_count(self):
-        a = list(range(99, -1, -1))
-        c = OpCounters()
-        bubble_sort(a, counters=c)
-        assert c.comparisons == 100 * 99 // 2
-        assert c.swaps == 100 * 99 // 2
-
-    def test_sorted_input_early_exit(self):
-        a = list(range(100))
-        c = OpCounters()
-        bubble_sort(a, counters=c)
-        assert c.comparisons == 99
-        assert c.swaps == 0
+@pytest.mark.parametrize("sort, keys, options, fields", CLOSED_FORM)
+def test_closed_form_counts(sort, keys, options, fields):
+    a, counters = list(keys), OpCounters()
+    sort(a, counters=counters, **options)
+    assert a == sorted(keys)
+    assert {name: getattr(counters, name) for name in fields} == fields
 
 
 class TestMerge:
-    def test_two_element_exact_count(self):
-        a = [2, 1]
-        c = OpCounters()
-        merge_sort(a, counters=c)
-        assert a == [1, 2]
-        assert (c.comparisons, c.element_moves) == (1, 3)
-
-    def test_sorted_power_of_two_exact_count(self):
-        # left run exhausts after width/2 comparisons at every merge
-        a = list(range(8))
-        c = OpCounters()
-        merge_sort(a, counters=c)
-        assert c.comparisons == 8 // 2 * 3
-
     def test_recursion_depth_logarithmic(self):
         # halving a run of n reaches runs of one after ceil(log2(n)) levels
         for n in (*range(2, 301), 4097):
@@ -100,21 +85,6 @@ class TestMerge:
 
 
 class TestQuick:
-    def test_sorted_with_last_pivot_is_exactly_quadratic(self):
-        for n in (100, 1000):
-            a = list(range(n))
-            c = OpCounters()
-            quicksort(a, counters=c, pivot=PivotRule.LAST_ELEMENT)
-            assert c.comparisons == n * (n - 1) // 2
-            assert a == list(range(n))
-
-    def test_degenerate_input_keeps_shallow_stack(self):
-        # the larger side is never recursed into, so sorted input stays at depth 1
-        a = list(range(1000))
-        c = OpCounters()
-        quicksort(a, counters=c, pivot=PivotRule.LAST_ELEMENT)
-        assert c.recursion_peak == 1
-
     def test_recursion_depth_bounded_by_log(self):
         for seed in range(50):
             rng = random.Random(seed)
@@ -191,16 +161,6 @@ class TestBucket:
         bucket_sort(a)
         assert [x.label for x in a] == ["a", "a2", "b", "c"]
         assert sorted(map(id, a)) == sorted(map(id, items))
-
-
-class TestRadixPlan:
-    def test_byte_plans(self):
-        # one pass per byte of the largest key, and at least one pass;
-        # a single key is placed once per pass
-        for top, digits in ((0, 1), (255, 1), (256, 2), (65535, 2), (65536, 3)):
-            c = OpCounters()
-            radix_sort([top], counters=c)
-            assert c.element_moves == digits, top
 
 
 class TestRadix:

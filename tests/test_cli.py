@@ -1,8 +1,11 @@
+import contextlib
 import functools
 import io
 import math
 import os
+import pickle
 import random
+import select
 import shlex
 import subprocess
 import sys
@@ -40,23 +43,24 @@ class Unrebuildable(Exception):
         super().__init__(f"merge {what} {n} keys")
 
 
-def run_on(cpus, monkeypatch, argv, forks=None):
-    """Run the CLI as if this process may use ``cpus`` CPUs; also count forks.
+def _raises_unrebuildable():
+    raise Unrebuildable(8, "cannot sort")
 
-    Pass a list as ``forks`` to read the count when the run raises.
-    """
-    forks = [] if forks is None else forks
-    real_fork = os.fork
 
-    def fork():
-        forks.append(1)
-        return real_fork()
-
+@contextlib.contextmanager
+def on_cpus(cpus, monkeypatch):
+    """As if this process may use ``cpus`` CPUs; yields the list that each fork appends to."""
+    forks, real_fork = [], os.fork
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        m.setattr(os, "fork", fork)
-        code, out, err = run_in_process(argv)
-    return code, out, err, len(forks)
+        m.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        yield forks
+
+
+def run_on(cpus, monkeypatch, argv):
+    """Run the CLI on ``cpus`` CPUs (`on_cpus`): (exit status, stdout, stderr, forks)."""
+    with on_cpus(cpus, monkeypatch) as forks:
+        return (*run_in_process(argv), len(forks))
 
 
 def _merge_time_rows_only(index, seed, time_rows=analysis._time_rows):
@@ -354,12 +358,10 @@ class TestBenchCommand:
 
         argv = ["bench", "--algorithms", "all", "--sizes", "2^4..2^7"]
         raised = []
+        monkeypatch.setattr(instrumentation, "merge_sort", merge_sort)
         for cpus in (1, 2):
-            forks = []
-            with monkeypatch.context() as m:
-                m.setattr(instrumentation, "merge_sort", merge_sort)
-                with pytest.raises(Exception) as e:
-                    run_on(cpus, monkeypatch, argv, forks)
+            with on_cpus(cpus, monkeypatch) as forks, pytest.raises(Exception) as e:
+                run_in_process(argv)
             raised.append((type(e.value), str(e.value), len(forks)))
         assert raised[0][:2] == raised[1][:2]
         assert raised[0][0] is type(error(0))
@@ -495,20 +497,6 @@ class TestVerifyCommand:
         assert serial[:3] == parallel[:3] == (
             0, "dynamic: PASS\nbuild-cost: PASS\n", "")
 
-    def test_fault_in_a_worker_is_reported_like_a_serial_one(self, monkeypatch):
-        # forked workers inherit the broken kernel, and their failure comes
-        # back with the same verdict and detail lines
-        argv = ["verify", "--only", "heap-invariants,differential"]
-        with monkeypatch.context() as m:
-            m.setattr(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))
-            serial = run_on(1, monkeypatch, argv)
-            parallel = run_on(2, monkeypatch, argv)
-        assert serial[3] == 0 and parallel[3] == 2
-        assert serial[:3] == parallel[:3]
-        code, out, _, _ = parallel
-        assert code == 1
-        assert "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n" in out
-
     def test_tables_print_reproduce_tables_for_the_seed(self, monkeypatch):
         # fast stand-ins for the work of the parts take the seed, and the
         # space rows fail: verify prints exactly reproduce_tables(seed)
@@ -567,22 +555,10 @@ class TestVerifyCommand:
         assert "Traceback" not in out
 
 
-def test_verify_assembles_reproduce_tables_from_the_parts(monkeypatch, reproduced_tables):
-    # the pooled tables check runs the parts as jobs and puts together the
-    # very report reproduce_tables(0) makes: every fit and residual, budget,
-    # witness and trial count. A serial run is reproduce_tables(seed) itself,
-    # and the seed's way through both runs is checked on stubs in
-    # test_tables_print_reproduce_tables_for_the_seed
-    assemble, reports = analysis.assemble_tables, []
-
-    def spy(results):
-        reports.append(assemble(results))
-        return reports[-1]
-
-    monkeypatch.setattr(analysis, "assemble_tables", spy)
-    argv = ["verify", "--only", "tables", "--seed", "0"]
-    assert run_on(2, monkeypatch, argv) == (0, "tables: PASS\n", "", 2)
-    assert reports == [reproduced_tables]
+def test_every_table_row_survives_the_trip_back_from_a_worker(reproduced_tables):
+    # a pooled tables check gets each part's rows back pickled, and every row
+    # type of the seed-0 report must come back equal
+    assert pickle.loads(pickle.dumps(reproduced_tables)) == reproduced_tables
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -613,73 +589,82 @@ def test_every_verify_check_has_a_job_and_a_verdict():
     assert {verdict for jobs, verdict in cli._CHECKS.values() if len(jobs) == 1} == {cli._as_is}
 
 
-_VERIFY_ARGV = ["verify", "--only", "build-cost,heap-invariants,dynamic"]
 _BENCH_ARGV = ["bench", "--algorithms", "all", "--sizes", "2^4..2^6", "--seed", "3"]
+_JOBS = [functools.partial(str, i) for i in range(3)]
+_RESULTS = [(True, str(i)) for i in range(3)]
 
 
 class TestForkedWorkers:
-    def test_three_cpus_give_the_serial_outputs_with_three_forks(self, monkeypatch):
-        for argv in (_BENCH_ARGV, _VERIFY_ARGV):
-            serial = run_on(1, monkeypatch, argv)
-            three = run_on(3, monkeypatch, argv)
-            assert (serial[3], three[3]) == (0, 3)
-            assert serial[0] == three[0] == 0 and serial[2] == three[2]
-            assert _without_wall_nanos(serial[1]) == _without_wall_nanos(three[1])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_are_the_serial_attempts_with_one_fork_a_worker(self, monkeypatch, cpus):
+        # every kind of job comes back as it runs here: results, the message of
+        # an exception pickle can rebuild and of one it cannot, a module attribute
+        # as patched here, and a result larger than a pipe's 64 KiB buffer. In a
+        # worker, job 0 waits until job 1 has started and job 1 until job 2 has,
+        # so two workers run jobs 0 and 2 on one and job 1 on the other: results
+        # kept in the order they came back would be out of the jobs' order
+        pid, started = os.getpid(), [os.pipe(), os.pipe()]  # by jobs 1 and 2
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--algorithms", "uhs", "--sizes", "16"], ["verify", "--only", "dynamic"],
-    ], ids=["bench", "verify"])
-    def test_one_job_runs_here(self, monkeypatch, argv):
-        code, _, _, forks = run_on(4, monkeypatch, argv)
-        assert (code, forks) == (0, 0)
+        def handoff(i):
+            def job():
+                if os.getpid() != pid:
+                    if i > 0:
+                        os.write(started[i - 1][1], b".")
+                    if i < 2:  # at most 10 s, should no other worker take the next job
+                        select.select([started[i][0]], [], [], 10)
+                return f"job {i}"
+            return job
 
-    @pytest.mark.parametrize("argv, lines", [
-        (["bench", "--algorithms", "uhs,merge", "--sizes", "16,32"], 1 + 2 * 2),
-        (["verify", "--only", "build-cost,dynamic"], 2),
-    ], ids=["bench", "verify"])
-    def test_no_fork_while_another_thread_runs(self, monkeypatch, argv, lines):
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(30,))
+        monkeypatch.setattr(cli, "_CHUNK", "patched")
+        jobs = [*map(handoff, range(3)), functools.partial(int, "x"), _raises_unrebuildable,
+                lambda: cli._CHUNK, lambda: "k" * 2**17]
+        with on_cpus(cpus, monkeypatch) as forks:
+            results = cli._job_results(jobs)
+        for fd in (*started[0], *started[1]):
+            os.close(fd)
+        assert results == [cli._attempt(job) for job in jobs]
+        assert len(forks) == (0 if cpus == 1 else cpus)
+
+    def test_one_job_runs_here(self, monkeypatch):
+        with on_cpus(4, monkeypatch) as forks:
+            assert cli._job_results(_JOBS[:1]) == _RESULTS[:1]
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        other = threading.Timer(30, lambda: None)  # a thread that waits until cancelled
         other.start()
         try:
-            code, out, _, forks = run_on(2, monkeypatch, argv)
+            with on_cpus(2, monkeypatch) as forks:
+                assert cli._job_results(_JOBS) == _RESULTS
         finally:
-            release.set()
+            other.cancel()
             other.join(30)
-        assert not other.is_alive()
-        assert (forks, code, len(out.splitlines())) == (0, 0, lines)
+        assert (other.is_alive(), forks) == (False, [])
 
     def test_no_fork_on_a_platform_without_it(self, monkeypatch):
-        serial = run_on(1, monkeypatch, _BENCH_ARGV)
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        code, out, _ = run_in_process(_BENCH_ARGV)
-        assert code == 0 and _without_wall_nanos(out) == _without_wall_nanos(serial[1])
+        assert cli._job_results(_JOBS) == _RESULTS
 
-    @pytest.mark.parametrize("command", ["bench", "verify"])
-    def test_a_worker_that_ends_raises_its_exit_status_and_is_reaped(self, monkeypatch, command):
-        # one job ends its worker; the other workers run on, and every
-        # worker is waited for before the error is raised
-        pid, sweep_task = os.getpid(), cli._sweep_task
-
-        def ends_at_32_keys(cells, options):
-            if os.getpid() != pid and any(n == 32 for _, n, _ in cells):
-                os._exit(3)
-            return sweep_task(cells, options)
-
-        if command == "bench":
-            monkeypatch.setattr(cli, "_sweep_task", ends_at_32_keys)
-            argv = _BENCH_ARGV
-        else:
-            ends = (lambda seed: os._exit(3) if os.getpid() != pid else (True, []),)
-            monkeypatch.setitem(cli._CHECKS, "dynamic", (ends, cli._as_is))
-            argv = _VERIFY_ARGV
-        forks = []
-        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended with exit status 3$"):
-            run_on(2, monkeypatch, argv, forks)
+    def test_a_worker_that_ends_raises_its_exit_status_and_is_reaped(self, monkeypatch):
+        # each job ends its worker, so the first worker's status is known
+        # while the second is not yet waited for; both are waited for before
+        # the error is raised
+        pid = os.getpid()
+        ends = lambda: os._exit(3) if os.getpid() != pid else None
+        with (on_cpus(2, monkeypatch) as forks,
+              pytest.raises(RuntimeError, match=r"^worker process \d+ ended with exit status 3$")):
+            cli._job_results([ends, ends])
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_a_forked_run_leaves_no_descriptor_open(self, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        with on_cpus(2, monkeypatch) as forks:
+            assert cli._job_results(_JOBS) == _RESULTS
+        assert (len(forks), len(os.listdir("/proc/self/fd"))) == (2, before)
 
     def test_a_failed_fork_raises_as_itself_and_the_worker_forked_is_reaped(
         self, monkeypatch, tmp_path
@@ -702,23 +687,12 @@ class TestForkedWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
-    def test_a_pooled_run_leaves_no_descriptor_open(self, monkeypatch, tmp_path):
-        before = len(os.listdir("/proc/self/fd"))
-        for argv in ([*_BENCH_ARGV, "--csv", str(tmp_path / "out.csv")], _VERIFY_ARGV):
-            code, _, _, forks = run_on(2, monkeypatch, argv)
-            assert (code, forks) == (0, 2)
-        assert len(os.listdir("/proc/self/fd")) == before
-
     def test_a_job_list_too_long_for_one_write_runs_here(self, monkeypatch):
         # a job's index goes to the workers as one byte, so 256 jobs fork
         # and 257 run serially, with the same results
-        forks, real_fork = [], os.fork
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         for jobs, fork_count in ((256, 2), (257, 0)):
-            forks.clear()
-            results = cli._job_results([functools.partial(str, i) for i in range(jobs)])
+            with on_cpus(2, monkeypatch) as forks:
+                results = cli._job_results([functools.partial(str, i) for i in range(jobs)])
             assert results == [(True, str(i)) for i in range(jobs)]
             assert len(forks) == fork_count
 
