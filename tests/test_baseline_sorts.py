@@ -50,6 +50,9 @@ CLOSED_FORM = [
     pytest.param(merge_sort, [2, 1], {}, dict(comparisons=1, element_moves=3), id="merge-two"),
     # the left run runs out after width / 2 comparisons at every merge
     pytest.param(merge_sort, range(8), {}, dict(comparisons=8 // 2 * 3), id="merge-sorted-8"),
+    # the last key is the largest, so every partition leaves n - 1 keys on one side
+    pytest.param(quicksort, range(100), dict(pivot=PivotRule.LAST_ELEMENT),
+                 dict(comparisons=100 * 99 // 2), id="quick-last-sorted-quadratic"),
     # the larger side is never recursed into, so sorted input stays at depth 1
     pytest.param(quicksort, range(1000), dict(pivot=PivotRule.LAST_ELEMENT),
                  dict(recursion_peak=1), id="quick-last-sorted-stays-shallow"),

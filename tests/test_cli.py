@@ -595,12 +595,12 @@ _RESULTS = [(True, str(i)) for i in range(3)]
 
 
 class TestForkedWorkers:
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_results_are_the_serial_attempts_with_one_fork_a_worker(self, monkeypatch, cpus):
         # every kind of job comes back as it runs here: results, the message of
         # an exception pickle can rebuild and of one it cannot, a module attribute
-        # as patched here, and a result larger than a pipe's 64 KiB buffer. In a
-        # worker, job 0 waits until job 1 has started and job 1 until job 2 has,
+        # as patched here, and a result larger than a pipe's 64 KiB buffer. With
+        # more CPUs than jobs, there is one worker a job. In a worker, job 0 waits until job 1 has started and job 1 until job 2 has,
         # so two workers run jobs 0 and 2 on one and job 1 on the other: results
         # kept in the order they came back would be out of the jobs' order
         pid, started = os.getpid(), [os.pipe(), os.pipe()]  # by jobs 1 and 2
@@ -623,11 +623,16 @@ class TestForkedWorkers:
         for fd in (*started[0], *started[1]):
             os.close(fd)
         assert results == [cli._attempt(job) for job in jobs]
-        assert len(forks) == (0 if cpus == 1 else cpus)
+        assert len(forks) == (0 if cpus == 1 else min(cpus, len(jobs)))
 
     def test_one_job_runs_here(self, monkeypatch):
         with on_cpus(4, monkeypatch) as forks:
             assert cli._job_results(_JOBS[:1]) == _RESULTS[:1]
+        assert forks == []
+
+    def test_no_jobs_give_no_results_and_no_fork(self, monkeypatch):
+        with on_cpus(4, monkeypatch) as forks:
+            assert cli._job_results([]) == []
         assert forks == []
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
@@ -645,6 +650,13 @@ class TestForkedWorkers:
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert cli._job_results(_JOBS) == _RESULTS
+
+    def test_no_fork_on_a_platform_without_sched_getaffinity(self, monkeypatch):
+        # as on macOS: os.fork is there, but not the CPUs this process may use
+        with on_cpus(2, monkeypatch) as forks, monkeypatch.context() as m:
+            m.delattr(os, "sched_getaffinity")
+            assert cli._job_results(_JOBS) == _RESULTS
+        assert forks == []
 
     def test_a_worker_that_ends_raises_its_exit_status_and_is_reaped(self, monkeypatch):
         # each job ends its worker, so the first worker's status is known
