@@ -23,10 +23,10 @@ import sortlab.analysis as analysis
 import sortlab.cli as cli
 import sortlab.heap_core as heap_core
 import sortlab.instrumentation as instrumentation
-from sortlab import AlgorithmId
-from sortlab.analysis import Complexity, GrowthClass, SpaceRow, TimeRow
+from sortlab import AlgorithmId, OpCounters
+from sortlab.analysis import Complexity, DynamicReport, GrowthClass, SpaceRow, TimeRow
 from sortlab.cli import main, parse_sizes
-from sortlab.instrumentation import StabilityVerdict
+from sortlab.instrumentation import BuildCostRow, StabilityVerdict
 from sortlab.uhs_sort import SortOrder
 
 from fingerprints import run_in_process
@@ -71,6 +71,27 @@ def _merge_time_rows_only(index, seed, time_rows=analysis._time_rows):
 
 def _without_wall_nanos(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
+def _bench_cells(csv_text):
+    """bench's CSV with each row after the header cut to algorithm,n,distribution,trial;
+    a row without the header's ten columns is kept whole."""
+    header, *rows = csv_text.splitlines(keepends=True)
+    return header + "".join(",".join(row.split(",")[:4]) + "\n" if row.count(",") == 9 else row
+                            for row in rows)
+
+
+_ALL_ALGORITHMS = "insertion,merge,quick,bucket,radix,bubble,uhs"
+_ALL_DISTRIBUTIONS = "random,sorted,reversed,few-unique,uniform01"
+
+
+def _cells(algorithms, sizes, distributions="random"):
+    """bench's header, then algorithm,n,distribution,trial of each row it prints for one
+    trial, in its order: by algorithm, then size, then distribution, and no radix x uniform01."""
+    cells = product(algorithms.split(","), sizes, distributions.split(","))
+    return ("algorithm,n,distribution,trial,comparisons,swaps,element_moves,aux_peak_slots,"
+            "recursion_peak,wall_nanos\n") + "".join(
+        f"{a},{n},{d},0\n" for a, n, d in cells if (a, d) != ("radix", "uniform01"))
 
 
 def _appends_without_climbing(heap, x):
@@ -140,23 +161,6 @@ class TestParseSizes:
 
 
 class TestSortCommand:
-    def test_stdin_to_stdout(self):
-        code, out, err = run_in_process(["sort"], "5\n3\n9\n1\n")
-        assert code == 0
-        assert out == "1\n3\n5\n9\n"
-        assert err == ""
-
-    def test_blank_lines_skipped(self):
-        code, out, _ = run_in_process(["sort"], "2\n\n1\n  \n")
-        assert code == 0 and out == "1\n2\n"
-
-    def test_descending_with_stats(self):
-        code, out, err = run_in_process(
-            ["sort", "-a", "merge", "--order", "desc", "--stats"], "1\n3\n2\n")
-        assert code == 0
-        assert out == "3\n2\n1\n"
-        assert "comparisons=" in err and "aux_peak_slots=3" in err
-
     def test_file_roundtrip(self, tmp_path):
         src = tmp_path / "in.txt"
         dst = tmp_path / "out.txt"
@@ -164,16 +168,6 @@ class TestSortCommand:
         code, out, _ = run_in_process(["sort", "-i", str(src), "-o", str(dst)])
         assert code == 0 and out == ""
         assert dst.read_text() == "-2\n4\n10\n"
-
-    def test_every_algorithm_available(self):
-        for algorithm in ("insertion", "merge", "quick", "radix", "bubble", "uhs"):
-            code, out, _ = run_in_process(["sort", "-a", algorithm], "3\n1\n2\n")
-            assert code == 0, algorithm
-            assert out == "1\n2\n3\n"
-
-    def test_bucket_sorts_floats(self):
-        code, out, _ = run_in_process(["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n")
-        assert code == 0 and out == "0.25\n0.5\n0.75\n"
 
     def test_input_file_that_is_not_utf8_is_rejected(self, tmp_path):
         src = tmp_path / "bad.txt"
@@ -183,26 +177,13 @@ class TestSortCommand:
         assert err.startswith(f"cannot read {src}: ")
 
     def test_empty_input_is_fine(self, tmp_path):
-        for text in ("", "\n  \n"):
-            code, out, _ = run_in_process(["sort"], text)
-            assert code == 0 and out == ""
         dst = tmp_path / "out.txt"
         code, out, _ = run_in_process(["sort", "-o", str(dst)], "")
         assert code == 0 and out == "" and dst.read_bytes() == b""
 
-    def test_float_output_bytes(self):
-        code, out, _ = run_in_process(["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n")
-        assert code == 0 and out == "-2.5\n1e-07\n0.1\n3.0\n1e+16\n"
-
-    def test_values_are_what_python_int_accepts_printed_canonically(self):
-        code, out, err = run_in_process(["sort"], "1_000\n\u0663\n +7 \n-0\n")
-        assert (code, out, err) == (0, "0\n3\n7\n1000\n", "")
-
-    @pytest.mark.parametrize("via", ["stdin", "file"])
-    def test_crlf_sorts_and_only_newline_ends_a_line(self, tmp_path, via):
+    def test_crlf_sorts_and_only_newline_ends_a_line(self, tmp_path):
+        # in a file as on stdin, where `_ACCEPTED` and `_REJECTED` hold the same inputs
         def sort(text):
-            if via == "stdin":
-                return run_in_process(["sort"], text)
             src = tmp_path / "in.txt"
             src.write_bytes(text.encode())
             return run_in_process(["sort", "-i", str(src)])
@@ -269,66 +250,12 @@ def test_sort_grammar_rejects_the_first_bad_line_or_prints_canonical_sorted_ints
 
 
 class TestBenchCommand:
-    def test_default_sweep_shape(self):
-        code, out, _ = run_in_process(
-            ["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"])
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == (
-            "algorithm,n,distribution,trial,comparisons,swaps,"
-            "element_moves,aux_peak_slots,recursion_peak,wall_nanos"
-        )
-        assert len(lines) == 1 + 3 * 3 * 1 * 1
-        assert all(len(line.split(",")) == 10 for line in lines[1:])
-
-    def test_deterministic_modulo_wall_nanos(self):
-        argv = ["bench", "--algorithms", "uhs,quick", "--sizes", "2^6..2^8",
-                "--distributions", "random,few-unique", "--trials", "2"]
-        _, out1, _ = run_in_process(argv)
-        _, out2, _ = run_in_process(argv)
-        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.strip().split("\n")]
-        assert strip(out1) == strip(out2)
-        assert out1.strip() != ""
-
     def test_csv_file_output(self, tmp_path):
         path = tmp_path / "bench.csv"
         code, out, _ = run_in_process(
             ["bench", "--algorithms", "bubble", "--sizes", "64", "--csv", str(path)])
         assert code == 0 and out == ""
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2 and lines[1].startswith("bubble,64,random,0,")
-
-    def test_bucket_gets_float_rendition(self):
-        code, out, _ = run_in_process(
-            ["bench", "--algorithms", "bucket", "--sizes", "128",
-             "--distributions", "sorted,few-unique"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 3
-
-    def test_radix_with_uniform01_still_runs_the_other_algorithms(self):
-        code, out, err = run_in_process(
-            ["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"])
-        assert code == 0
-        rows = out.strip().split("\n")[1:]
-        assert rows and all(r.startswith("uhs,16,uniform01,") for r in rows)
-        assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
-
-    def test_all_distributions_skip_radix_uniform01(self):
-        code, out, err = run_in_process(
-            ["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"])
-        assert code == 0
-        rows = out.strip().split("\n")[1:]
-        assert len(rows) == 7 * 5 - 1
-        assert not [r for r in rows if r.startswith("radix,16,uniform01,")]
-        assert "radix" in err and "uniform01" in err and len(err.splitlines()) == 1
-
-    def test_an_algorithm_or_size_named_twice_is_one_row(self):
-        # two rows for one cell would share one measurement's wall_nanos
-        code, out, _ = run_in_process(["bench", "--algorithms", "uhs,merge,uhs",
-                                       "--sizes", "8,16,8"])
-        assert code == 0
-        cells = [",".join(line.split(",")[:2]) for line in out.splitlines()[1:]]
-        assert cells == ["uhs,8", "uhs,16", "merge,8", "merge,16"]
+        assert _bench_cells(path.read_text()) == _cells("bubble", [64])
 
     @pytest.mark.parametrize("order", ["asc", "desc"])
     def test_serial_and_pooled_runs_write_the_same_csv(self, monkeypatch, order):
@@ -384,38 +311,11 @@ class TestBenchCommand:
         code, out, _, forks = run_on(1, monkeypatch, argv)
         assert code == 0 and forks == 0
         assert len(tasks) <= 32 and max(tasks) <= math.ceil(340 / 32) and sum(tasks) == 340
-        algorithms = ["insertion", "merge", "quick", "bucket", "radix", "bubble", "uhs"]
-        distributions = ["random", "sorted", "reversed", "few-unique", "uniform01"]
-        expected = [
-            f"{a},{2**k},{d},0" for a, k, d in product(algorithms, range(10), distributions)
-            if (a, d) != ("radix", "uniform01")
-        ]
-        assert [",".join(line.split(",")[:4]) for line in out.splitlines()[1:]] == expected
+        sizes = [2**k for k in range(10)]
+        assert _bench_cells(out) == _cells(_ALL_ALGORITHMS, sizes, _ALL_DISTRIBUTIONS)
 
 
 class TestStabilityCommand:
-    def test_verdict_lines_and_exit_zero(self):
-        code, out, _ = run_in_process(["stability", "--trials", "150"])
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 7
-        by_alg = dict(line.split(": ", 1) for line in lines)
-        assert by_alg["merge"].startswith("STABLE(trials=")
-        assert by_alg["quick"].startswith("UNSTABLE witness=")
-        assert by_alg["uhs"].startswith("UNSTABLE witness=")
-
-    def test_algorithm_filter(self):
-        code, out, _ = run_in_process(["stability", "--algorithms", "merge,uhs",
-                                       "--trials", "100"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 2
-
-    def test_an_algorithm_named_twice_runs_once(self):
-        code, out, _ = run_in_process(["stability", "--algorithms", "uhs,merge,uhs",
-                                       "--trials", "10"])
-        assert code == 0
-        assert out == "uhs: UNSTABLE witness=[0, 0]\nmerge: STABLE(trials=1087)\n"
-
     def test_readme_example_is_what_the_command_prints(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         code, out, _ = run_in_process(["stability", "--algorithms", "merge,uhs"])
@@ -423,53 +323,8 @@ class TestStabilityCommand:
         example = "".join(f"# {line}\n" for line in out.splitlines())
         assert "sortlab stability --algorithms merge,uhs\n" + example in readme, out
 
-    def test_verdict_against_the_design_sets_exit_one(self, monkeypatch):
-        # uhs sorts in order but reorders equal keys, so a merge that is uhs
-        # is found unstable, which its design says it is not
-        monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
-        code, out, _ = run_in_process(["stability", "--algorithms", "merge", "--trials", "10"])
-        assert code == 1
-        assert out == "merge: UNSTABLE witness=[0, 0]\n"
 
 class TestVerifyCommand:
-    def test_injected_fault_is_caught(self, monkeypatch):
-        # A sift kernel that never moves anything must fail the heap check;
-        # every heap entry point looks the kernel up at call time.
-        with monkeypatch.context() as m:
-            m.setattr(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))
-            code, out, _ = run_in_process(["verify", "--only", "heap-invariants"])
-        assert code == 1
-        assert "heap-invariants: FAIL" in out
-        assert "construction broke the heap property" in out
-        code, out, _ = run_in_process(["verify", "--only", "heap-invariants"])
-        assert code == 0 and "PASS" in out
-
-    @pytest.mark.parametrize("name, stand_in, detail", [
-        ("Heap", type("Unclimbing", (heap_core.Heap,), {"push": _appends_without_climbing}),
-         "pushes broke the heap property"),
-        ("Heap", type("OffByOne", (heap_core.Heap,),
-                      {"pop_root": lambda heap: heap_core.Heap.pop_root(heap) + 1}),
-         "drain order wrong for {keys}"),
-        ("uhs_sort", lambda a: None, "sort disagreed with oracle on {keys}"),
-    ], ids=["push", "drain", "sort"])
-    def test_each_heap_invariants_failure_prints_its_line(self, monkeypatch, name, stand_in,
-                                                           detail):
-        rng = random.Random(0)  # the keys of seed 0's first trial
-        keys = [rng.randint(-999, 999) for _ in range(rng.randint(0, 128))]
-        monkeypatch.setattr(cli, name, stand_in)
-        expected = f"heap-invariants: FAIL\n  trial 0: {detail.format(keys=keys)}\n"
-        assert run_in_process(["verify", "--only", "heap-invariants", "--seed", "0"]) == (
-            1, expected, "")
-
-    def test_unstable_stand_in_for_a_stable_sort_fails_differential(self, monkeypatch):
-        # uhs returns every key in order but reorders equal ones, so only a
-        # payload-exact check can tell it from merge sort
-        monkeypatch.setattr(instrumentation, "merge_sort", instrumentation.uhs_sort)
-        code, out, _ = run_in_process(["verify", "--only", "differential"])
-        assert code == 1
-        assert "differential: FAIL" in out
-        assert any(": merge " in line and "unstable" in line for line in out.splitlines())
-
     def test_serial_and_parallel_runs_print_the_same(self, monkeypatch):
         argv = ["verify", "--only", "build-cost,heap-invariants,differential,dynamic"]
         serial = run_on(1, monkeypatch, argv)
@@ -522,37 +377,6 @@ class TestVerifyCommand:
         assert "seed 3" in text and "OVER" in text
         assert serial == (1, expected, "", 0)
         assert pooled == (1, expected, "", 2)
-
-    @pytest.mark.parametrize("patches,checks,expected", [
-        ([(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))],
-         "build-cost,heap-invariants,differential",
-         "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
-         "heap-invariants: FAIL\n  trial 0: construction broke the heap property\n"
-         "differential: FAIL\n  trial 0: uhs asc missorted "),
-        # only merge's time part raises, and only what it raised is printed,
-        # so fast stand-ins take the other parts' place
-        ([(instrumentation, "merge_sort", _sorts_without_counting),
-          (analysis, "_time_rows", _merge_time_rows_only),
-          (analysis, "_quick_peaks", lambda trials, seed: (0, 0)),
-          (analysis, "_slot_rows", lambda: []),
-          (analysis, "stability_check", lambda algorithm, trials, seed: None)],
-         "tables", "tables: FAIL\n  costs must be strictly positive\n"),
-    ], ids=["build-cost-raises", "tables-raises"])
-    def test_a_raising_check_fails_with_its_message(self, monkeypatch, patches, checks, expected):
-        # build_cost_audit and growth_fit raise; verify reports what they
-        # raised as the check's detail, on one CPU and on two alike
-        argv = ["verify", "--only", checks]
-        with monkeypatch.context() as m:
-            for patch in patches:
-                m.setattr(*patch)
-            serial = run_on(1, monkeypatch, argv)
-            parallel = run_on(2, monkeypatch, argv)
-        assert serial[3] == 0 and parallel[3] == 2
-        assert serial[:3] == parallel[:3]
-        code, out, err, _ = serial
-        assert code == 1 and err == ""
-        assert out.startswith(expected)
-        assert "Traceback" not in out
 
 
 def test_every_table_row_survives_the_trip_back_from_a_worker(reproduced_tables):
@@ -790,6 +614,126 @@ def test_an_output_in_a_missing_directory_exits_2_with_one_line(monkeypatch, tmp
     assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
 
 
+_NOTE = "note: skipping radix x uniform01 (integer keys only)\n"
+_STATS = "comparisons=3\nswaps=0\nelement_moves=6\naux_peak_slots=3\nrecursion_peak=3\n"
+
+
+# each request sortlab carries out: its argv, its stdin, and all it prints to stdout and to
+# stderr; a bench row's stdout is its header and each row's cell and trial (`_bench_cells`),
+# since its counts are pinned in fingerprints.txt and its wall_nanos vary
+_ACCEPTED = [
+    (["sort"], "5\n3\n9\n1\n", "1\n3\n5\n9\n", ""),
+    (["sort"], "2\n\n1\n  \n", "1\n2\n", ""),
+    (["sort"], "", "", ""),
+    (["sort"], "\n  \n", "", ""),
+    (["sort"], "3\r\n1\r\n\r\n2\r\n", "1\n2\n3\n", ""),
+    (["sort"], "1_000\n\u0663\n +7 \n-0\n", "0\n3\n7\n1000\n", ""),  # what int() takes
+    (["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n", "-2.5\n1e-07\n0.1\n3.0\n1e+16\n", ""),
+    (["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n", "0.25\n0.5\n0.75\n", ""),
+    *((["sort", "-a", a], "3\n1\n2\n", "1\n2\n3\n", "")
+      for a in ("insertion", "merge", "quick", "radix", "bubble", "uhs")),
+    (["sort", "-a", "merge", "--order", "desc", "--stats"], "1\n3\n2\n", "3\n2\n1\n", _STATS),
+    (["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"], "",
+     _cells("uhs,merge,radix", [32, 64, 128]), ""),
+    (["bench", "--algorithms", "bucket", "--sizes", "128", "--distributions", "sorted,few-unique"],
+     "", _cells("bucket", [128], "sorted,few-unique"), ""),
+    (["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"], "",
+     _cells("uhs", [16], "uniform01"), _NOTE),
+    (["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"], "",
+     _cells(_ALL_ALGORITHMS, [16], _ALL_DISTRIBUTIONS), _NOTE),
+    (["bench", "--algorithms", "uhs,merge,uhs", "--sizes", "8,16,8"], "",
+     _cells("uhs,merge", [8, 16]), ""),  # two rows for one cell would share one measurement
+    (["stability", "--trials", "150"], "",
+     "insertion: STABLE(trials=1227)\nmerge: STABLE(trials=1227)\n"
+     "quick: UNSTABLE witness=[1, 1, 0]\nbucket: STABLE(trials=1227)\n"
+     "radix: STABLE(trials=1227)\nbubble: STABLE(trials=1227)\nuhs: UNSTABLE witness=[0, 0]\n", ""),
+    (["stability", "--algorithms", "merge,uhs", "--trials", "100"], "",
+     "merge: STABLE(trials=1177)\nuhs: UNSTABLE witness=[0, 0]\n", ""),
+    (["stability", "--algorithms", "uhs,merge,uhs", "--trials", "10"], "",
+     "uhs: UNSTABLE witness=[0, 0]\nmerge: STABLE(trials=1087)\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, stdout, stderr", _ACCEPTED,
+                         ids=[shlex.join(argv) for argv, *_ in _ACCEPTED])
+def test_an_accepted_request_exits_0_with_its_output(argv, stdin, stdout, stderr):
+    code, out, err = run_in_process(argv, stdin)
+    assert (code, _bench_cells(out) if argv[0] == "bench" else out, err) == (0, stdout, stderr)
+
+
+def _heap_invariants_keys():
+    """The keys of heap-invariants' trial 0 at seed 0, drawn as the check draws them."""
+    rng = random.Random(0)
+    return [rng.randint(-999, 999) for _ in range(rng.randint(0, 128))]
+
+
+def _differential_keys():
+    """The int keys of differential's trial 0 at seed 0, drawn as the check draws them."""
+    rng = random.Random(0)
+    n = rng.randint(0, 100)
+    return [rng.randint(0, max(1, 4 * n)) for _ in range(n)]
+
+
+# uhs sorts in order but reorders equal keys, so a merge that is uhs is found unstable,
+# which its design says it is not, and only a payload-exact check tells it from merge sort
+_MERGE_IS_UHS = [(instrumentation, "merge_sort", instrumentation.uhs_sort)]
+# a sift kernel that never moves anything; every heap entry point looks it up at call time
+_NO_SIFT = [(heap_core, "_sift_down", lambda a, n, holes, mx: (0, 0))]
+_UNCLIMBING = type("Unclimbing", (heap_core.Heap,), {"push": _appends_without_climbing})
+_OFF_BY_ONE = type("OffByOne", (heap_core.Heap,),
+                   {"pop_root": lambda heap: heap_core.Heap.pop_root(heap) + 1})
+# only merge's time part raises, and only what it raised is printed, so fast stand-ins
+# take the other parts' place
+_MERGE_TIMES_RAISE = [(instrumentation, "merge_sort", _sorts_without_counting),
+                      (analysis, "_time_rows", _merge_time_rows_only),
+                      (analysis, "_quick_peaks", lambda trials, seed: (0, 0)),
+                      (analysis, "_slot_rows", lambda: []),
+                      (analysis, "stability_check", lambda algorithm, trials, seed: None)]
+_HEAP_FAIL = "heap-invariants: FAIL\n  trial 0: "
+
+# each request whose check or verdict fails: the patches that make it fail, its argv and all
+# it prints to stdout; a raising check's detail is what it raised
+_FAILED = [
+    (_MERGE_IS_UHS, ["stability", "--algorithms", "merge", "--trials", "10"],
+     "merge: UNSTABLE witness=[0, 0]\n"),
+    (_MERGE_IS_UHS, ["verify", "--only", "differential"],
+     f"differential: FAIL\n  trial 0: merge asc unstable {_differential_keys()}\n"),
+    (_NO_SIFT, ["verify", "--only", "heap-invariants"],
+     f"{_HEAP_FAIL}construction broke the heap property\n"),
+    ([(cli, "Heap", _UNCLIMBING)], ["verify", "--only", "heap-invariants"],
+     f"{_HEAP_FAIL}pushes broke the heap property\n"),
+    ([(cli, "Heap", _OFF_BY_ONE)], ["verify", "--only", "heap-invariants"],
+     f"{_HEAP_FAIL}drain order wrong for {_heap_invariants_keys()}\n"),
+    ([(cli, "uhs_sort", lambda a: None)], ["verify", "--only", "heap-invariants"],
+     f"{_HEAP_FAIL}sort disagreed with oracle on {_heap_invariants_keys()}\n"),
+    (_NO_SIFT, ["verify", "--only", "build-cost,heap-invariants,differential"],
+     "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
+     f"{_HEAP_FAIL}construction broke the heap property\n"
+     f"differential: FAIL\n  trial 0: uhs asc missorted {_differential_keys()}\n"),
+    (_MERGE_TIMES_RAISE, ["verify", "--only", "tables"],
+     "tables: FAIL\n  costs must be strictly positive\n"),
+    ([(cli, "build_cost_audit", lambda sizes, seed: [BuildCostRow(4, 7, 6)])],
+     ["verify", "--only", "build-cost"], "build-cost: FAIL\n  n=4 comparisons=7 bound=6\n"),
+    ([(cli, "dynamic_scenario", lambda ops: DynamicReport(10, OpCounters(comparisons=5), 3))],
+     ["verify", "--only", "dynamic"],
+     "dynamic: FAIL\n  heap comparisons 5 vs oracle shifts 3 over 10 ops\n"),
+]
+
+
+@pytest.mark.parametrize("patches, argv, stdout", _FAILED,
+                         ids=[shlex.join(argv) for _, argv, _ in _FAILED])
+def test_a_failed_check_or_verdict_exits_1_alike_on_one_cpu_and_two(monkeypatch, patches, argv,
+                                                                      stdout):
+    for patch in patches:
+        monkeypatch.setattr(*patch)
+    jobs = []  # the size of each job list the runner gets: two jobs or more fork at 2 CPUs
+    job_results = cli._job_results
+    monkeypatch.setattr(cli, "_job_results", lambda js: jobs.append(len(js)) or job_results(js))
+    serial, pooled = run_on(1, monkeypatch, argv), run_on(2, monkeypatch, argv)
+    assert serial[:3] == pooled[:3] == (1, stdout, "")
+    assert (serial[3], pooled[3]) == (0, 2 if max(jobs, default=0) > 1 else 0)
+
+
 def _missing(verb, path):
     return f"cannot {verb} {path}: [Errno 2] No such file or directory: {path!r}"
 
@@ -806,6 +750,9 @@ _REJECTED = [
     (["sort", "-a", "radix"], "5\n-3\n", "radix keys must be non-negative, got -3"),
     (["sort"], "5\nxyz\n1\n", "input line 2: cannot parse 'xyz'"),
     (["sort"], "5\n\n\nxyz\n", "input line 4: cannot parse 'xyz'"),
+    # a lone \r or a form feed, which str.splitlines would end a line at, does not
+    (["sort"], "3\r1\r2\r", "input line 1: cannot parse '3\\r1\\r2'"),
+    (["sort"], "3\x0c1\n2\n", "input line 1: cannot parse '3\\x0c1'"),
     *((["sort", "-a", a, "--float"], "2.5\n1\nnan\n0.5\n", f"input line 3: {_NAN}")
       for a in ("uhs", "merge", "quick", "insertion")),
     *((["sort", "--float"], f"2\n{v}\n0.5\n", f"input line 2: {_NAN}")
