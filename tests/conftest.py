@@ -8,7 +8,10 @@ too. A key may carry a label to follow equal keys by; its batch counts each
 of its comparisons, and may log them or raise once a budget is spent. Each
 batch is a class of its own, so no count, log or budget leaks between tests.
 The `reproduced_tables` fixture measures the seed-0 tables once per session.
+An enum parameter's test id is its value, as in ``test_sort[bubble-random-asc]``.
 """
+
+from enum import Enum
 
 import pytest
 
@@ -31,6 +34,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    return val.value if isinstance(val, Enum) else None
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from sortlab.analysis import (
     Complexity,
     DifferentialError,
     Distribution,
-    DynamicReport,
     InsufficientDataError,
     dynamic_scenario,
     generate_input,
@@ -25,7 +24,7 @@ from sortlab.analysis import (
 )
 from sortlab.baseline_sorts import AlgorithmId
 from sortlab.heap_core import Heap
-from sortlab.instrumentation import SPECS, counted_sort
+from sortlab.instrumentation import counted_sort
 
 
 class TestGrowthFit:
@@ -70,12 +69,6 @@ class TestGrowthFit:
 
 
 class TestGenerateInput:
-    def test_deterministic_per_seed(self):
-        a = generate_input(Distribution.RANDOM_SEEDED, 64, 5)
-        b = generate_input(Distribution.RANDOM_SEEDED, 64, 5)
-        c = generate_input(Distribution.RANDOM_SEEDED, 64, 6)
-        assert a == b and a != c
-
     @pytest.mark.parametrize("dist", list(Distribution))
     @pytest.mark.parametrize("floats", [False, True])
     def test_lengths_and_domains(self, dist, floats):
@@ -98,10 +91,7 @@ class TestGenerateInput:
         floats = generate_input(Distribution.FEW_UNIQUE, 300, 2, floats=True)
         assert set(floats) <= {0.125, 0.375, 0.625, 0.875}
 
-    def test_empty(self):
-        assert generate_input(Distribution.RANDOM_SEEDED, 0, 0) == []
-
-    @pytest.mark.parametrize("n", [1, 3, 64, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 3, 64, 1000])
     def test_integer_draws_are_random_randoms(self, n):
         # the integer cells draw in bulk, value for value what randrange and
         # choice on random.Random(seed) give, so seeded CSVs never move
@@ -175,40 +165,10 @@ class TestTables:
     def test_overall_ok(self, report):
         assert report.ok
 
-    def test_time_rows_cover_every_algorithm(self, report):
-        assert {r.algorithm for r in report.time_rows} == set(AlgorithmId)
-        assert all(r.ok for r in report.time_rows)
-        by_case = {(r.algorithm, r.case): r for r in report.time_rows}
-        assert by_case[(AlgorithmId.QUICK, "worst")].expected is Complexity.QUADRATIC
-        assert by_case[(AlgorithmId.QUICK, "expected")].expected is Complexity.LINEARITHMIC
-        assert by_case[(AlgorithmId.BUCKET, "average")].expected is Complexity.LINEAR
-
-    def test_space_rows(self, report):
-        rows = {r.algorithm: r for r in report.space_rows}
-        assert rows[AlgorithmId.MERGE].measured == 4096
-        assert rows[AlgorithmId.UHS].measured == 0
-        assert rows[AlgorithmId.RADIX].measured <= 4096 + 256
-        quick = rows[AlgorithmId.QUICK]
-        assert quick.note is not None  # the declared claim/measurement gap
-        assert quick.measured <= quick.budget == 2 * 12
-        assert all(r.ok for r in report.space_rows)
-
-    def test_stability_rows(self, report):
-        assert all(r.ok for r in report.stability_rows)
-        verdicts = {r.algorithm: r.stable for r in report.stability_rows}
-        assert verdicts[AlgorithmId.QUICK] is False
-        assert verdicts[AlgorithmId.MERGE] is True
-
-    def test_as_text_sections(self, report):
-        text = report.as_text()
-        assert "complexity growth" in text
-        assert "auxiliary space" in text
-        assert "stability" in text
-        assert "overall: OK" in text
-        assert "MISMATCH" not in text
-
     def test_as_text_is_pinned(self, report):
-        # every row, fit, budget and witness of the seed-0 tables, byte for byte
+        # every row of the seed-0 tables in order, byte for byte: each time
+        # case's expected and fitted class, each space row's measured value,
+        # budget and note, and each stability verdict with its witness
         assert digest(report.as_text()) == pinned()["tables/seed=0"]
 
     def test_size_ladders(self):
@@ -233,19 +193,6 @@ class TestDynamic:
                 assert 0 <= op[1] < live
                 live -= 1
 
-    def test_scenario_agrees_and_heap_wins(self):
-        report = dynamic_scenario(make_workload(3000, seed=0))
-        assert isinstance(report, DynamicReport)
-        assert report.steps == 3000
-        assert report.ok
-        assert report.heap_counters.comparisons < report.oracle_shifts
-
-    def test_bad_op_sequence_reports_failing_prefix(self):
-        with pytest.raises(DifferentialError) as exc:
-            dynamic_scenario([("push", 5), ("pop",), ("pop",)])
-        assert exc.value.step == 2
-        assert exc.value.prefix == [("push", 5), ("pop",), ("pop",)]
-
     def test_removal_scan_probes_are_counted(self):
         # push 5 (free), push 3 (one climb comparison), then remove 3: the
         # scan probes slots 0 and 1, and removing the last slot compares nothing
@@ -253,14 +200,10 @@ class TestDynamic:
         assert report.heap_counters.comparisons == 3
         assert report.oracle_shifts == 2
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(DifferentialError):
-            dynamic_scenario([("frobnicate",)])
-
     def test_error_survives_pickling(self):
-        # verify's pool never pickles it (a worker sends back only the
+        # verify's forked workers never pickle it (each sends back only the
         # message), but DifferentialError is a public name, and an exception
-        # that pickle cannot rebuild breaks any pool a caller runs it in
+        # that pickle cannot rebuild breaks any process pool a caller runs it in
         e = pickle.loads(pickle.dumps(DifferentialError(3, [("push", 1)], "boom")))
         assert type(e) is DifferentialError
         assert (e.step, e.prefix, str(e)) == (3, [("push", 1)], "step 3: boom")
@@ -274,6 +217,8 @@ def _breaks_a_subtree_at_1001(heap, x, counters):
 
 
 @pytest.mark.parametrize("methods, ops, step, message", [
+    ({}, [("push", 5), ("pop",), ("pop",)], 2, "pop on empty structure"),
+    ({}, [("frobnicate",)], 0, "unknown op ('frobnicate',)"),
     ({"pop_root": lambda heap, counters: Heap.pop_root(heap, counters) - 1},
      [("push", 5), ("pop",)], 1, "pop returned 4, oracle max was 5"),
     ({}, [("push", 5), ("remove", 1)], 1, "remove rank 1 out of range"),
@@ -287,7 +232,8 @@ def _breaks_a_subtree_at_1001(heap, x, counters):
     # the second push lands as 2: sizes and maxima agree, the contents do not
     ({"push": lambda heap, x, counters: Heap.push(heap, x - 1 if len(heap) else x, counters)},
      [("push", 5), ("push", 3)], 2, "final contents diverged"),
-], ids=["pop", "remove-rank", "size", "max", "heap-property", "final-contents"])
+], ids=["empty-pop", "unknown-op", "pop", "remove-rank", "size", "max", "heap-property",
+         "final-contents"])
 def test_each_divergence_names_its_step_and_prefix(monkeypatch, methods, ops, step, message):
     # a heap with one operation broken, patched in where dynamic_scenario makes its heap
     monkeypatch.setattr(analysis, "Heap", type("Diverging", (Heap,), methods))
@@ -295,12 +241,6 @@ def test_each_divergence_names_its_step_and_prefix(monkeypatch, methods, ops, st
         dynamic_scenario(ops)
     assert (exc.value.step, exc.value.prefix) == (step, ops[: step + 1])
     assert str(exc.value) == f"step {step}: {message}"
-
-
-def test_space_and_stability_rows_follow_specs_order(report):
-    # one row per algorithm, in SPECS order
-    assert [r.algorithm for r in report.space_rows] == list(SPECS)
-    assert [r.algorithm for r in report.stability_rows] == list(SPECS)
 
 
 def test_space_rows_meet_budgets_exactly_on_domain_keys(tables):

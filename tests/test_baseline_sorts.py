@@ -139,7 +139,7 @@ class TestBucket:
         bucket_sort(a, counters=c)
         assert c.comparisons <= 4 * n
 
-    @pytest.mark.parametrize("order", list(SortOrder), ids=lambda order: order.value)
+    @pytest.mark.parametrize("order", list(SortOrder))
     def test_a_raising_comparison_leaves_the_list_untouched(self, order):
         # every bucket is sorted before any is written back, so each slot
         # still holds its own key, whether the range check or an insertion
@@ -451,7 +451,7 @@ KERNELS = [
 ]
 
 
-@pytest.mark.parametrize("order", list(SortOrder), ids=lambda order: order.value)
+@pytest.mark.parametrize("order", list(SortOrder))
 @pytest.mark.parametrize("sort, ref", KERNELS)
 def test_kernels_match_the_reference_loops(sort, ref, order):
     # on a seeded stream of lists with many ties, a fifth of them sorted and a

@@ -6,7 +6,6 @@ import os
 import pickle
 import random
 import select
-import shlex
 import subprocess
 import sys
 import threading
@@ -614,48 +613,59 @@ def test_an_output_in_a_missing_directory_exits_2_with_one_line(monkeypatch, tmp
     assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
 
 
+def _each_row(names, table):
+    """Parametrize over ``table``, whose rows are ``(id, *values)``; the ids are unique, so
+    a row inserted or removed renames no other row."""
+    ids = [row[0] for row in table]
+    assert len(set(ids)) == len(ids), ids
+    return pytest.mark.parametrize(names, [row[1:] for row in table], ids=ids)
+
+
 _NOTE = "note: skipping radix x uniform01 (integer keys only)\n"
 _STATS = "comparisons=3\nswaps=0\nelement_moves=6\naux_peak_slots=3\nrecursion_peak=3\n"
 
 
-# each request sortlab carries out: its argv, its stdin, and all it prints to stdout and to
-# stderr; a bench row's stdout is its header and each row's cell and trial (`_bench_cells`),
+# each request sortlab carries out: its id, argv and stdin, and all it prints to stdout and
+# to stderr; a bench row's stdout is its header and each row's cell and trial (`_bench_cells`),
 # since its counts are pinned in fingerprints.txt and its wall_nanos vary
 _ACCEPTED = [
-    (["sort"], "5\n3\n9\n1\n", "1\n3\n5\n9\n", ""),
-    (["sort"], "2\n\n1\n  \n", "1\n2\n", ""),
-    (["sort"], "", "", ""),
-    (["sort"], "\n  \n", "", ""),
-    (["sort"], "3\r\n1\r\n\r\n2\r\n", "1\n2\n3\n", ""),
-    (["sort"], "1_000\n\u0663\n +7 \n-0\n", "0\n3\n7\n1000\n", ""),  # what int() takes
-    (["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n", "-2.5\n1e-07\n0.1\n3.0\n1e+16\n", ""),
-    (["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n", "0.25\n0.5\n0.75\n", ""),
-    *((["sort", "-a", a], "3\n1\n2\n", "1\n2\n3\n", "")
+    ("sort", ["sort"], "5\n3\n9\n1\n", "1\n3\n5\n9\n", ""),
+    ("sort-blank-lines", ["sort"], "2\n\n1\n  \n", "1\n2\n", ""),
+    ("sort-empty", ["sort"], "", "", ""),
+    ("sort-blank-only", ["sort"], "\n  \n", "", ""),
+    ("sort-crlf", ["sort"], "3\r\n1\r\n\r\n2\r\n", "1\n2\n3\n", ""),
+    ("sort-int-syntax", ["sort"], "1_000\n\u0663\n +7 \n-0\n", "0\n3\n7\n1000\n", ""),
+    ("sort-float", ["sort", "--float"], "3\n1e-7\n-2.50\n1e16\n0.1\n",
+     "-2.5\n1e-07\n0.1\n3.0\n1e+16\n", ""),
+    ("sort-bucket", ["sort", "-a", "bucket", "--float"], "0.5\n0.25\n0.75\n", "0.25\n0.5\n0.75\n",
+     ""),
+    *((f"sort-{a}", ["sort", "-a", a], "3\n1\n2\n", "1\n2\n3\n", "")
       for a in ("insertion", "merge", "quick", "radix", "bubble", "uhs")),
-    (["sort", "-a", "merge", "--order", "desc", "--stats"], "1\n3\n2\n", "3\n2\n1\n", _STATS),
-    (["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"], "",
+    ("sort-stats", ["sort", "-a", "merge", "--order", "desc", "--stats"], "1\n3\n2\n",
+     "3\n2\n1\n", _STATS),
+    ("bench", ["bench", "--algorithms", "uhs,merge,radix", "--sizes", "2^5..2^7"], "",
      _cells("uhs,merge,radix", [32, 64, 128]), ""),
-    (["bench", "--algorithms", "bucket", "--sizes", "128", "--distributions", "sorted,few-unique"],
-     "", _cells("bucket", [128], "sorted,few-unique"), ""),
-    (["bench", "--algorithms", "radix,uhs", "--distributions", "uniform01", "--sizes", "16"], "",
-     _cells("uhs", [16], "uniform01"), _NOTE),
-    (["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"], "",
+    ("bench-bucket", ["bench", "--algorithms", "bucket", "--sizes", "128", "--distributions",
+                      "sorted,few-unique"], "", _cells("bucket", [128], "sorted,few-unique"), ""),
+    ("bench-radix-uniform01", ["bench", "--algorithms", "radix,uhs", "--distributions",
+                               "uniform01", "--sizes", "16"], "", _cells("uhs", [16], "uniform01"),
+     _NOTE),
+    ("bench-all", ["bench", "--algorithms", "all", "--distributions", "all", "--sizes", "16"], "",
      _cells(_ALL_ALGORITHMS, [16], _ALL_DISTRIBUTIONS), _NOTE),
-    (["bench", "--algorithms", "uhs,merge,uhs", "--sizes", "8,16,8"], "",
+    ("bench-named-twice", ["bench", "--algorithms", "uhs,merge,uhs", "--sizes", "8,16,8"], "",
      _cells("uhs,merge", [8, 16]), ""),  # two rows for one cell would share one measurement
-    (["stability", "--trials", "150"], "",
+    ("stability", ["stability", "--trials", "150"], "",
      "insertion: STABLE(trials=1227)\nmerge: STABLE(trials=1227)\n"
      "quick: UNSTABLE witness=[1, 1, 0]\nbucket: STABLE(trials=1227)\n"
      "radix: STABLE(trials=1227)\nbubble: STABLE(trials=1227)\nuhs: UNSTABLE witness=[0, 0]\n", ""),
-    (["stability", "--algorithms", "merge,uhs", "--trials", "100"], "",
+    ("stability-merge-uhs", ["stability", "--algorithms", "merge,uhs", "--trials", "100"], "",
      "merge: STABLE(trials=1177)\nuhs: UNSTABLE witness=[0, 0]\n", ""),
-    (["stability", "--algorithms", "uhs,merge,uhs", "--trials", "10"], "",
+    ("stability-named-twice", ["stability", "--algorithms", "uhs,merge,uhs", "--trials", "10"], "",
      "uhs: UNSTABLE witness=[0, 0]\nmerge: STABLE(trials=1087)\n", ""),
 ]
 
 
-@pytest.mark.parametrize("argv, stdin, stdout, stderr", _ACCEPTED,
-                         ids=[shlex.join(argv) for argv, *_ in _ACCEPTED])
+@_each_row("argv, stdin, stdout, stderr", _ACCEPTED)
 def test_an_accepted_request_exits_0_with_its_output(argv, stdin, stdout, stderr):
     code, out, err = run_in_process(argv, stdin)
     assert (code, _bench_cells(out) if argv[0] == "bench" else out, err) == (0, stdout, stderr)
@@ -691,37 +701,38 @@ _MERGE_TIMES_RAISE = [(instrumentation, "merge_sort", _sorts_without_counting),
                       (analysis, "stability_check", lambda algorithm, trials, seed: None)]
 _HEAP_FAIL = "heap-invariants: FAIL\n  trial 0: "
 
-# each request whose check or verdict fails: the patches that make it fail, its argv and all
-# it prints to stdout; a raising check's detail is what it raised
+# each request whose check or verdict fails: its id, the patches that make it fail, its argv
+# and all it prints to stdout; a raising check's detail is what it raised
 _FAILED = [
-    (_MERGE_IS_UHS, ["stability", "--algorithms", "merge", "--trials", "10"],
+    ("stability", _MERGE_IS_UHS, ["stability", "--algorithms", "merge", "--trials", "10"],
      "merge: UNSTABLE witness=[0, 0]\n"),
-    (_MERGE_IS_UHS, ["verify", "--only", "differential"],
+    ("differential", _MERGE_IS_UHS, ["verify", "--only", "differential"],
      f"differential: FAIL\n  trial 0: merge asc unstable {_differential_keys()}\n"),
-    (_NO_SIFT, ["verify", "--only", "heap-invariants"],
+    ("heap-invariants-build", _NO_SIFT, ["verify", "--only", "heap-invariants"],
      f"{_HEAP_FAIL}construction broke the heap property\n"),
-    ([(cli, "Heap", _UNCLIMBING)], ["verify", "--only", "heap-invariants"],
+    ("heap-invariants-push", [(cli, "Heap", _UNCLIMBING)], ["verify", "--only", "heap-invariants"],
      f"{_HEAP_FAIL}pushes broke the heap property\n"),
-    ([(cli, "Heap", _OFF_BY_ONE)], ["verify", "--only", "heap-invariants"],
+    ("heap-invariants-drain", [(cli, "Heap", _OFF_BY_ONE)], ["verify", "--only", "heap-invariants"],
      f"{_HEAP_FAIL}drain order wrong for {_heap_invariants_keys()}\n"),
-    ([(cli, "uhs_sort", lambda a: None)], ["verify", "--only", "heap-invariants"],
+    ("heap-invariants-sort", [(cli, "uhs_sort", lambda a: None)],
+     ["verify", "--only", "heap-invariants"],
      f"{_HEAP_FAIL}sort disagreed with oracle on {_heap_invariants_keys()}\n"),
-    (_NO_SIFT, ["verify", "--only", "build-cost,heap-invariants,differential"],
+    ("build-cost-raises", _NO_SIFT, ["verify", "--only", "build-cost,heap-invariants,differential"],
      "build-cost: FAIL\n  construction broke the heap property at n=1024\n"
      f"{_HEAP_FAIL}construction broke the heap property\n"
      f"differential: FAIL\n  trial 0: uhs asc missorted {_differential_keys()}\n"),
-    (_MERGE_TIMES_RAISE, ["verify", "--only", "tables"],
+    ("tables-raises", _MERGE_TIMES_RAISE, ["verify", "--only", "tables"],
      "tables: FAIL\n  costs must be strictly positive\n"),
-    ([(cli, "build_cost_audit", lambda sizes, seed: [BuildCostRow(4, 7, 6)])],
+    ("build-cost", [(cli, "build_cost_audit", lambda sizes, seed: [BuildCostRow(4, 7, 6)])],
      ["verify", "--only", "build-cost"], "build-cost: FAIL\n  n=4 comparisons=7 bound=6\n"),
-    ([(cli, "dynamic_scenario", lambda ops: DynamicReport(10, OpCounters(comparisons=5), 3))],
+    ("dynamic",
+     [(cli, "dynamic_scenario", lambda ops: DynamicReport(10, OpCounters(comparisons=5), 3))],
      ["verify", "--only", "dynamic"],
      "dynamic: FAIL\n  heap comparisons 5 vs oracle shifts 3 over 10 ops\n"),
 ]
 
 
-@pytest.mark.parametrize("patches, argv, stdout", _FAILED,
-                         ids=[shlex.join(argv) for _, argv, _ in _FAILED])
+@_each_row("patches, argv, stdout", _FAILED)
 def test_a_failed_check_or_verdict_exits_1_alike_on_one_cpu_and_two(monkeypatch, patches, argv,
                                                                       stdout):
     for patch in patches:
@@ -742,51 +753,59 @@ _NAN = "NaN and infinities cannot be sorted"
 _TRIALS = "--trials must be >= 1"
 
 
-# each request sortlab refuses: its argv, its stdin and the error line it prints
+# each request sortlab refuses: its id, argv and stdin, and the error line it prints
 _REJECTED = [
-    (["sort", "-a", "bucket"], "0.5\n", "bucket sort takes float keys in [0, 1); pass --float"),
-    (["sort", "-a", "radix", "--float"], "1\n",
+    ("sort-bucket-int", ["sort", "-a", "bucket"], "0.5\n",
+     "bucket sort takes float keys in [0, 1); pass --float"),
+    ("sort-radix-float", ["sort", "-a", "radix", "--float"], "1\n",
      "radix sort takes non-negative integer keys; drop --float"),
-    (["sort", "-a", "radix"], "5\n-3\n", "radix keys must be non-negative, got -3"),
-    (["sort"], "5\nxyz\n1\n", "input line 2: cannot parse 'xyz'"),
-    (["sort"], "5\n\n\nxyz\n", "input line 4: cannot parse 'xyz'"),
+    ("sort-radix-negative", ["sort", "-a", "radix"], "5\n-3\n",
+     "radix keys must be non-negative, got -3"),
+    ("sort-bad-line", ["sort"], "5\nxyz\n1\n", "input line 2: cannot parse 'xyz'"),
+    ("sort-bad-line-after-blanks", ["sort"], "5\n\n\nxyz\n", "input line 4: cannot parse 'xyz'"),
     # a lone \r or a form feed, which str.splitlines would end a line at, does not
-    (["sort"], "3\r1\r2\r", "input line 1: cannot parse '3\\r1\\r2'"),
-    (["sort"], "3\x0c1\n2\n", "input line 1: cannot parse '3\\x0c1'"),
-    *((["sort", "-a", a, "--float"], "2.5\n1\nnan\n0.5\n", f"input line 3: {_NAN}")
-      for a in ("uhs", "merge", "quick", "insertion")),
-    *((["sort", "--float"], f"2\n{v}\n0.5\n", f"input line 2: {_NAN}")
+    ("sort-lone-cr", ["sort"], "3\r1\r2\r", "input line 1: cannot parse '3\\r1\\r2'"),
+    ("sort-form-feed", ["sort"], "3\x0c1\n2\n", "input line 1: cannot parse '3\\x0c1'"),
+    *((f"sort-{a}-nan", ["sort", "-a", a, "--float"], "2.5\n1\nnan\n0.5\n",
+       f"input line 3: {_NAN}") for a in ("uhs", "merge", "quick", "insertion")),
+    *((f"sort-float-{v}", ["sort", "--float"], f"2\n{v}\n0.5\n", f"input line 2: {_NAN}")
       for v in ("1e400", "-1e400", "inf")),
-    (["sort", "-i", "/nonexistent/path.txt"], "", _missing("read", "/nonexistent/path.txt")),
-    (["sort", "-i", ""], "3\n", _missing("read", "")),
-    (["sort", "-o", ""], "3\n", _missing("write", "")),
-    (["bench", "--csv", ""], "", _missing("write", "")),
-    (["bench", "--algorithms", "radix", "--distributions", "uniform01"], "",
-     "radix sort cannot take uniform01 (float) keys"),
-    (["bench", "--trials", "0", "--algorithms", "uhs", "--sizes", "16"], "", _TRIALS),
-    (["stability", "--trials", "0", "--algorithms", "merge"], "", _TRIALS),
-    (["stability", "--trials", "-5", "--algorithms", "merge"], "", _TRIALS),
-    (["sort", "-a", "nosuch"], "", "sortlab sort: error: argument -a/--algorithm: "),
-    (["bench", "--sizes", "banana"], "",
+    ("sort-missing-input", ["sort", "-i", "/nonexistent/path.txt"], "",
+     _missing("read", "/nonexistent/path.txt")),
+    ("sort-empty-input-path", ["sort", "-i", ""], "3\n", _missing("read", "")),
+    ("sort-empty-output-path", ["sort", "-o", ""], "3\n", _missing("write", "")),
+    ("bench-empty-csv-path", ["bench", "--csv", ""], "", _missing("write", "")),
+    ("bench-radix-uniform01", ["bench", "--algorithms", "radix", "--distributions", "uniform01"],
+     "", "radix sort cannot take uniform01 (float) keys"),
+    ("bench-zero-trials", ["bench", "--trials", "0", "--algorithms", "uhs", "--sizes", "16"], "",
+     _TRIALS),
+    ("stability-zero-trials", ["stability", "--trials", "0", "--algorithms", "merge"], "", _TRIALS),
+    ("stability-negative-trials", ["stability", "--trials", "-5", "--algorithms", "merge"], "",
+     _TRIALS),
+    ("sort-unknown-algorithm", ["sort", "-a", "nosuch"], "",
+     "sortlab sort: error: argument -a/--algorithm: "),
+    ("bench-size-not-a-number", ["bench", "--sizes", "banana"], "",
      "sortlab bench: error: argument --sizes: invalid literal for int() with base 10: 'banana'"),
-    (["bench", "--sizes", "2^-1"], "",
+    ("bench-size-negative-exponent", ["bench", "--sizes", "2^-1"], "",
      "sortlab bench: error: argument --sizes: size '2^-1' has a negative exponent"),
-    (["bench", "--algorithms", "uhs,warp"], "", "sortlab bench: error: argument --algorithms: "
+    ("bench-unknown-algorithm", ["bench", "--algorithms", "uhs,warp"], "",
+     "sortlab bench: error: argument --algorithms: "
      "unknown algorithm 'warp'; choose from insertion, merge, quick, bucket, radix, bubble, uhs"),
-    (["verify", "--only", "nosuch"], "", "sortlab verify: error: argument --only: "
+    ("verify-unknown-check", ["verify", "--only", "nosuch"], "",
+     "sortlab verify: error: argument --only: "
      "unknown check 'nosuch'; choose from build-cost, heap-invariants, differential, dynamic, "
      "tables"),
-    *(([command, flag, ","], "", f"sortlab {command}: error: argument {flag}: no {what} given")
+    *((f"{command}-no-{what}", [command, flag, ","], "",
+       f"sortlab {command}: error: argument {flag}: no {what} given")
       for command, flag, what in [("bench", "--algorithms", "algorithm"),
                                   ("stability", "--algorithms", "algorithm"),
                                   ("bench", "--distributions", "distribution"),
                                   ("verify", "--only", "check")]),
-    ([], "", "sortlab: error: the following arguments are required: command"),
+    ("no-command", [], "", "sortlab: error: the following arguments are required: command"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdin, line", _REJECTED,
-                         ids=[shlex.join(argv) or "no command" for argv, _, _ in _REJECTED])
+@_each_row("argv, stdin, line", _REJECTED)
 def test_a_rejected_request_exits_2_with_its_one_error_line(argv, stdin, line):
     code, out, err = run_in_process(argv, stdin)
     assert (code, out) == (2, "")

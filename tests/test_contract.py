@@ -22,7 +22,7 @@ SORTS = [
     for p in (PivotRule if "pivot" in s.options else [PivotRule.RANDOM_SEEDED])
 ]
 EACH_SORT = pytest.mark.parametrize("algorithm, pivot", SORTS)
-EACH_ORDER = pytest.mark.parametrize("order", list(SortOrder), ids=lambda order: order.value)
+EACH_ORDER = pytest.mark.parametrize("order", list(SortOrder))
 ELEMENTS = {  # a list draws all its keys from one of these; ints draw ties often
     KeyDomain.COMPARABLE: (st.integers(), st.floats(allow_nan=False)),
     KeyDomain.NONNEG_INT: (st.integers(0, 2**24),),
@@ -39,7 +39,8 @@ def _options(algorithm, pivot):
 
 @EACH_SORT
 def test_sorts_every_list_of_domain_keys(algorithm, pivot):
-    # each list in both orders, through counted_sort and uncounted through its attribute
+    # each list in both orders, in place through counted_sort, which returns the
+    # list it was given, and uncounted through its attribute
     spec = SPECS[algorithm]
     options = _options(algorithm, pivot)
     lists = (st.lists(e, max_size=MAX_SIZE.get(algorithm, 80)) for e in ELEMENTS[spec.keys])
@@ -49,7 +50,9 @@ def test_sorts_every_list_of_domain_keys(algorithm, pivot):
     def sorts(keys):
         for order in SortOrder:
             want = sorted(keys, reverse=order is SortOrder.DESCENDING)
-            assert counted_sort(algorithm, keys[:], order, **options)[0] == want, order
+            counted = keys[:]
+            assert counted_sort(algorithm, counted, order, **options)[0] is counted, order
+            assert counted == want, order
             plain = keys[:]
             getattr(instrumentation, spec.sort)(plain, order, **options)
             assert plain == want, order

@@ -157,7 +157,7 @@ class TestBottomUpSiftDown:
             assert [e.label for e in got] == [e.label for e in ref], (keys, i, size)
             assert moves == ref_moves, (keys, i, size)
 
-    @pytest.mark.parametrize("order", list(HeapOrder), ids=lambda order: order.value)
+    @pytest.mark.parametrize("order", list(HeapOrder))
     def test_build_is_one_reference_sift_per_internal_node(self, order):
         # build's one kernel call over every internal node makes the
         # comparisons, in the same order, and the writes and arrangement
@@ -216,12 +216,6 @@ class TestBuild:
         build(a, counters=c)
         assert c.element_moves == 0
         assert c.comparisons > 0
-
-    def test_building_a_trivial_heap_costs_nothing(self):
-        for a in ([], [42]):
-            c = OpCounters()
-            build(a, counters=c)
-            assert c.as_dict() == OpCounters().as_dict()
 
     @given(st.lists(st.integers()))
     def test_property_build_yields_heap(self, xs):
@@ -357,7 +351,7 @@ def _labels(elements):
 
 
 @pytest.mark.parametrize("top", [15, 10**6], ids=["ties", "spread"])
-@pytest.mark.parametrize("order", list(HeapOrder), ids=lambda order: order.value)
+@pytest.mark.parametrize("order", list(HeapOrder))
 def test_heap_operations_match_reference_loops(order, top):
     # a seeded stream that grows the heap to a few hundred keys from 0..top,
     # then drains it to empty and back, dozens of times. After every
@@ -405,68 +399,8 @@ def test_heap_operations_match_reference_loops(order, top):
 
 
 class TestExceptionSafety:
-    @pytest.mark.parametrize("run", [
-        build,
-        lambda a: _sift_down(a, len(a), (0,), True),
-    ], ids=["build", "sift_down"])
-    def test_raising_comparison_leaves_a_permutation(self, run):
-        a = [3, "x", 1, 2]
-        with pytest.raises(TypeError):
-            run(a)
-        assert Counter(a) == Counter([3, "x", 1, 2])
-        # fail at every comparison of the run, during descents, climbs and
-        # extraction: each budget below an unbudgeted run's count raises
-        rng = random.Random(6)
-        for _ in range(4):
-            keys = [rng.randint(0, 9) for _ in range(24)]
-            Key = key_type()
-            done = list(map(Key, keys))
-            run(done)
-            count = Key.made
-            for spend in range(count + 3):
-                items = list(map(key_type(budget=spend), keys))
-                a = items[:]
-                try:
-                    run(a)
-                except RuntimeError:
-                    assert spend < count, spend
-                    assert Counter(map(id, a)) == Counter(map(id, items)), spend
-                else:
-                    assert spend >= count, spend
-                    assert a == done, spend
-
-    def test_failed_push_leaves_heap_unchanged(self):
-        h = Heap([3, 1])
-        with pytest.raises(TypeError):
-            h.push("x")
-        assert len(h) == 2 and h.elements[:2] == [3, 1]
-        assert is_heap(h.elements, h.heap_size)
-        # a comparison that fails above the first level moves nothing either
-        Key = key_type(budget=1)
-        live = list(map(Key, (9, 7, 8, 1, 2)))
-        h = Heap(live[:])
-        with pytest.raises(RuntimeError):
-            h.push(Key(10))
-        assert len(h) == 5
-        assert all(x is y for x, y in zip(h.elements[:5], live))
-
-    def test_failed_sift_down_leaves_heap_unchanged(self):
-        # every comparison comes before the first write, so a comparison that
-        # raises at any point leaves each slot holding the same object
-        rng = random.Random(9)
-        keys = sorted((rng.randint(0, 20) for _ in range(31)), reverse=True)
-        keys[0] = -1  # both subtrees of the root stay heaps
-        raised = 0
-        for spend in range(12):
-            items = list(map(key_type(budget=spend), keys))
-            a = items[:]
-            try:
-                _sift_down(a, len(a), (0,), True)
-            except RuntimeError:
-                raised += 1
-                assert all(x is y for x, y in zip(a, items)), spend
-        assert 0 < raised < 12
-
+    # that a comparison raising in build leaves a permutation is test_contract.py's
+    # uhs case, whose smaller budgets run out inside build
     @pytest.mark.parametrize("order", list(HeapOrder))
     @pytest.mark.parametrize("op", ["push", "pop_root", "remove_at"])
     def test_failed_operation_leaves_heap_unchanged(self, op, order):

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,11 +9,10 @@ from fingerprints import tie_census
 
 import sortlab.instrumentation as instrumentation
 from sortlab.analysis import _TIME_CASES, Complexity
-from sortlab.baseline_sorts import RADIX_BASE, AlgorithmId, PivotRule, bucket_sort, merge_sort
+from sortlab.baseline_sorts import RADIX_BASE, AlgorithmId, PivotRule, bucket_sort, quicksort
 from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import (
     SPECS,
-    BuildCostRow,
     KeyDomain,
     OpCounters,
     StabilityVerdict,
@@ -69,49 +67,26 @@ class TestReportsEqualTallies:
 
 
 class TestOpCounters:
-    def test_add_accumulates(self):
-        c = OpCounters()
-        c.add(comparisons=3, swaps=1)
-        c.add(comparisons=2, element_moves=7)
-        assert (c.comparisons, c.swaps, c.element_moves) == (5, 1, 7)
-
-    def test_note_peaks_keeps_max(self):
-        c = OpCounters()
-        c.note_peaks(aux_slots=5, recursion=3)
-        c.note_peaks(aux_slots=8)
-        c.note_peaks(aux_slots=2, recursion=1)
-        assert (c.aux_peak_slots, c.recursion_peak) == (8, 3)
-
-    def test_as_dict_matches_csv_columns(self):
-        columns = ["comparisons", "swaps", "element_moves", "aux_peak_slots", "recursion_peak"]
-        assert [f.name for f in fields(OpCounters)] == columns
-        assert list(OpCounters().as_dict()) == columns
-
     def test_two_sorts_into_one_ledger_add_counts_and_keep_larger_peaks(self):
+        # each sort reports once, so only a shared ledger adds one report to
+        # another: bucket reports moves and an aux peak, quick swaps and a
+        # recursion peak, and both report comparisons
         small = [0.5, 0.25, 0.75]
         large = [r / 64 for r in (37, 3, 60, 12, 12, 41, 0, 29)]
         separate = [counted_sort(AlgorithmId.BUCKET, k[:])[1] for k in (small, large)]
-        merge = counted_sort(AlgorithmId.MERGE, large[:])[1]
+        quick = counted_sort(AlgorithmId.QUICK, large[:])[1]
         shared = OpCounters()
         bucket_sort(large[:], counters=shared)  # the largest aux peak comes first
-        merge_sort(large[:], counters=shared)
+        quicksort(large[:], counters=shared)
         bucket_sort(small[:], counters=shared)
         for name in ("comparisons", "swaps", "element_moves"):
-            want = getattr(separate[0], name) + getattr(separate[1], name) + getattr(merge, name)
-            assert getattr(shared, name) == want, name
+            want = getattr(separate[0], name) + getattr(separate[1], name) + getattr(quick, name)
+            assert getattr(shared, name) == want > 0, name
         assert shared.aux_peak_slots == 2 * len(large)
-        assert shared.recursion_peak == merge.recursion_peak > 0
+        assert shared.recursion_peak == quick.recursion_peak > 0
 
 
 class TestSpecs:
-    def test_one_row_per_algorithm_in_enum_order(self):
-        assert set(SPECS) == set(AlgorithmId)
-        assert list(SPECS) == list(AlgorithmId)
-
-    def test_sort_names_are_module_callables(self):
-        for spec in SPECS.values():
-            assert callable(getattr(instrumentation, spec.sort, None)), spec.sort
-
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             counted_sort("uhs", [1])
@@ -155,44 +130,7 @@ class TestSpecs:
             assert expected == [{kind} for kind in shown], name
 
 
-class TestCountedSort:
-    def test_sorts_in_place_and_returns_same_list(self):
-        a = [3, 1, 2]
-        out, counters = counted_sort(AlgorithmId.MERGE, a)
-        assert out is a
-        assert a == [1, 2, 3]
-        assert counters.comparisons > 0
-
-    def test_key_rejected_for_comparison_sorts(self):
-        a = [2, 1]
-        with pytest.raises(TypeError):
-            counted_sort(AlgorithmId.INSERTION, a, key=lambda x: x)
-        assert a == [2, 1]
-
-    @pytest.mark.parametrize("algorithm", [AlgorithmId.BUCKET, AlgorithmId.RADIX])
-    def test_key_rejected_for_distribution_sorts(self, algorithm):
-        # the distribution sorts read each element as its own key
-        a = [0.5, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1]
-        before = a[:]
-        with pytest.raises(TypeError):
-            counted_sort(algorithm, a, key=lambda x: x)
-        assert a == before
-
-
 class TestStabilityCheck:
-    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
-    def test_verdicts_match_design(self, algorithm):
-        verdict = stability_check(algorithm, trials=400)
-        assert verdict.stable == SPECS[algorithm].stable
-        assert verdict.trials > 0
-
-    def test_unstable_witnesses_are_short(self):
-        for algorithm in (AlgorithmId.QUICK, AlgorithmId.UHS):
-            verdict = stability_check(algorithm, trials=50)
-            assert not verdict.stable
-            assert verdict.witness is not None
-            assert len(verdict.witness) <= 6
-
     def test_witness_reproduces_when_rerun(self):
         verdict = stability_check(AlgorithmId.UHS, trials=50)
         Key = key_type()
@@ -219,17 +157,6 @@ class TestStabilityCheck:
     def test_stable_verdict_has_no_witness(self):
         verdict = stability_check(AlgorithmId.MERGE, trials=200)
         assert verdict.stable and verdict.witness is None
-
-    def test_deterministic_across_runs(self):
-        a = stability_check(AlgorithmId.QUICK, trials=100)
-        b = stability_check(AlgorithmId.QUICK, trials=100)
-        assert a == b
-
-    def test_describe_formats(self):
-        stable = StabilityVerdict(AlgorithmId.MERGE, True, 123)
-        unstable = StabilityVerdict(AlgorithmId.UHS, False, 9, [0, 0])
-        assert stable.describe() == "merge: STABLE(trials=123)"
-        assert unstable.describe() == "uhs: UNSTABLE witness=[0, 0]"
 
     def test_ok_holds_the_verdict_against_the_design(self):
         assert StabilityVerdict(AlgorithmId.MERGE, True, 123).ok
@@ -372,17 +299,9 @@ class TestDrawsBelow:
 
 class TestBuildCostAudit:
     def test_rows_within_linear_bound(self):
-        rows = build_cost_audit([2**10, 2**12])
-        assert [r.n for r in rows] == [1024, 4096]
-        for row in rows:
-            assert row.ok
-            assert row.bound == 2 * (row.n - 1)
-            assert 0 < row.comparisons <= row.bound
-
-    def test_row_ok_property(self):
-        assert BuildCostRow(4, 6, 6).ok
-        assert not BuildCostRow(4, 7, 6).ok
-
-    def test_deterministic_for_seed(self):
-        assert build_cost_audit([512], seed=3) == build_cost_audit([512], seed=3)
-        assert build_cost_audit([512], seed=3) != build_cost_audit([512], seed=4)
+        # (n, comparisons, bound): the bound is 2(n - 1), and 0 below two keys,
+        # where a row that compares nothing is ok; the comparisons are those of
+        # seed 3's shuffles, which seeds 0 and 4 do not give
+        rows = build_cost_audit([0, 1, 2, 2**10, 2**12], seed=3)
+        assert rows == [(0, 0, 0), (1, 0, 0), (2, 1, 2), (1024, 1671, 2046), (4096, 6768, 8190)]
+        assert all(row.ok for row in rows)

@@ -84,7 +84,8 @@ def test_public_surface_is_pinned():
     # the one-job verify checks share one pass-through verdict, `cli._as_is`
     assert not hasattr(analysis, "StabilityRow")
     assert not hasattr(importlib.import_module("sortlab.cli"), "_only")
-    # no option that only tests ever set
+    # no option that only tests ever set, and no **kwargs that would take one
+    # silently: a removed keyword such as counted_sort's key= raises TypeError
     removed = {
         sortlab.uhs_sort: {"checkpoint"},
         sortlab.counted_sort: {"bucket_count", "radix_plan", "key"},
@@ -98,7 +99,9 @@ def test_public_surface_is_pinned():
         analysis.reproduce_tables: {"stability_trials"},
     }
     for fn, names in removed.items():
-        assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
+        parameters = inspect.signature(fn).parameters.values()
+        assert not names & {p.name for p in parameters}, fn.__qualname__
+        assert inspect.Parameter.VAR_KEYWORD not in {p.kind for p in parameters}, fn.__qualname__
 
 
 def test_import_sortlab_leaves_the_measurement_side_and_cli_unloaded():
