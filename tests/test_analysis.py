@@ -14,6 +14,7 @@ from sortlab.analysis import (
     Complexity,
     DifferentialError,
     Distribution,
+    DynamicReport,
     InsufficientDataError,
     dynamic_scenario,
     generate_input,
@@ -24,7 +25,7 @@ from sortlab.analysis import (
 )
 from sortlab.baseline_sorts import AlgorithmId
 from sortlab.heap_core import Heap
-from sortlab.instrumentation import counted_sort
+from sortlab.instrumentation import SPECS, counted_sort
 
 
 class TestGrowthFit:
@@ -69,6 +70,12 @@ class TestGrowthFit:
 
 
 class TestGenerateInput:
+    def test_deterministic_per_seed(self):
+        a = generate_input(Distribution.RANDOM_SEEDED, 64, 5)
+        b = generate_input(Distribution.RANDOM_SEEDED, 64, 5)
+        c = generate_input(Distribution.RANDOM_SEEDED, 64, 6)
+        assert a == b and a != c
+
     @pytest.mark.parametrize("dist", list(Distribution))
     @pytest.mark.parametrize("floats", [False, True])
     def test_lengths_and_domains(self, dist, floats):
@@ -165,6 +172,36 @@ class TestTables:
     def test_overall_ok(self, report):
         assert report.ok
 
+    def test_time_rows_cover_every_algorithm(self, report):
+        assert {r.algorithm for r in report.time_rows} == set(AlgorithmId)
+        assert all(r.ok for r in report.time_rows)
+        by_case = {(r.algorithm, r.case): r for r in report.time_rows}
+        assert by_case[(AlgorithmId.QUICK, "worst")].expected is Complexity.QUADRATIC
+        assert by_case[(AlgorithmId.QUICK, "expected")].expected is Complexity.LINEARITHMIC
+        assert by_case[(AlgorithmId.BUCKET, "average")].expected is Complexity.LINEAR
+
+    def test_space_rows(self, report):
+        rows = {r.algorithm: r for r in report.space_rows}
+        assert rows[AlgorithmId.MERGE].measured == 4096
+        assert rows[AlgorithmId.UHS].measured == 0
+        assert rows[AlgorithmId.RADIX].measured <= 4096 + 256
+        quick = rows[AlgorithmId.QUICK]
+        assert quick.note is not None  # the declared claim/measurement gap
+        assert quick.measured <= quick.budget == 2 * 12
+        assert all(r.ok for r in report.space_rows)
+
+    def test_stability_rows(self, report):
+        assert all(r.ok for r in report.stability_rows)
+        verdicts = {r.algorithm: r.stable for r in report.stability_rows}
+        assert verdicts[AlgorithmId.QUICK] is False
+        assert verdicts[AlgorithmId.MERGE] is True
+
+    def test_as_text_sections(self, report):
+        text = report.as_text()
+        for heading in ("complexity growth", "auxiliary space", "stability", "overall: OK"):
+            assert heading in text
+        assert "MISMATCH" not in text
+
     def test_as_text_is_pinned(self, report):
         # every row of the seed-0 tables in order, byte for byte: each time
         # case's expected and fitted class, each space row's measured value,
@@ -192,6 +229,12 @@ class TestDynamic:
             else:
                 assert 0 <= op[1] < live
                 live -= 1
+
+    def test_scenario_agrees_and_heap_wins(self):
+        report = dynamic_scenario(make_workload(3000, seed=0))
+        assert isinstance(report, DynamicReport)
+        assert report.steps == 3000 and report.ok
+        assert report.heap_counters.comparisons < report.oracle_shifts
 
     def test_removal_scan_probes_are_counted(self):
         # push 5 (free), push 3 (one climb comparison), then remove 3: the
@@ -241,6 +284,12 @@ def test_each_divergence_names_its_step_and_prefix(monkeypatch, methods, ops, st
         dynamic_scenario(ops)
     assert (exc.value.step, exc.value.prefix) == (step, ops[: step + 1])
     assert str(exc.value) == f"step {step}: {message}"
+
+
+def test_space_and_stability_rows_follow_specs_order(report):
+    # one row per algorithm, in SPECS order
+    assert [r.algorithm for r in report.space_rows] == list(SPECS)
+    assert [r.algorithm for r in report.stability_rows] == list(SPECS)
 
 
 def test_space_rows_meet_budgets_exactly_on_domain_keys(tables):

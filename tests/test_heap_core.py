@@ -217,6 +217,12 @@ class TestBuild:
         assert c.element_moves == 0
         assert c.comparisons > 0
 
+    def test_building_a_trivial_heap_costs_nothing(self):
+        for a in ([], [42]):
+            c = OpCounters()
+            build(a, counters=c)
+            assert c.as_dict() == OpCounters().as_dict()
+
     @given(st.lists(st.integers()))
     def test_property_build_yields_heap(self, xs):
         build(xs)
@@ -401,6 +407,23 @@ def test_heap_operations_match_reference_loops(order, top):
 class TestExceptionSafety:
     # that a comparison raising in build leaves a permutation is test_contract.py's
     # uhs case, whose smaller budgets run out inside build
+    def test_failed_sift_down_leaves_heap_unchanged(self):
+        # every comparison comes before the first write, so a comparison that
+        # raises at any point leaves each slot holding the same object
+        rng = random.Random(9)
+        keys = sorted((rng.randint(0, 20) for _ in range(31)), reverse=True)
+        keys[0] = -1  # both subtrees of the root stay heaps
+        raised = 0
+        for spend in range(12):
+            items = list(map(key_type(budget=spend), keys))
+            a = items[:]
+            try:
+                _sift_down(a, len(a), (0,), True)
+            except RuntimeError:
+                raised += 1
+                assert all(x is y for x, y in zip(a, items)), spend
+        assert 0 < raised < 12
+
     @pytest.mark.parametrize("order", list(HeapOrder))
     @pytest.mark.parametrize("op", ["push", "pop_root", "remove_at"])
     def test_failed_operation_leaves_heap_unchanged(self, op, order):

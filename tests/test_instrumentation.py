@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from sortlab.baseline_sorts import RADIX_BASE, AlgorithmId, PivotRule, bucket_so
 from sortlab.heap_core import HeapOrder, build
 from sortlab.instrumentation import (
     SPECS,
+    BuildCostRow,
     KeyDomain,
     OpCounters,
     StabilityVerdict,
@@ -67,6 +69,24 @@ class TestReportsEqualTallies:
 
 
 class TestOpCounters:
+    def test_add_accumulates(self):
+        c = OpCounters()
+        c.add(comparisons=3, swaps=1)
+        c.add(comparisons=2, element_moves=7)
+        assert (c.comparisons, c.swaps, c.element_moves) == (5, 1, 7)
+
+    def test_note_peaks_keeps_max(self):
+        c = OpCounters()
+        c.note_peaks(aux_slots=5, recursion=3)
+        c.note_peaks(aux_slots=8)
+        c.note_peaks(aux_slots=2, recursion=1)
+        assert (c.aux_peak_slots, c.recursion_peak) == (8, 3)
+
+    def test_as_dict_matches_csv_columns(self):
+        columns = ["comparisons", "swaps", "element_moves", "aux_peak_slots", "recursion_peak"]
+        assert [f.name for f in fields(OpCounters)] == columns
+        assert list(OpCounters().as_dict()) == columns
+
     def test_two_sorts_into_one_ledger_add_counts_and_keep_larger_peaks(self):
         # each sort reports once, so only a shared ledger adds one report to
         # another: bucket reports moves and an aux peak, quick swaps and a
@@ -87,6 +107,13 @@ class TestOpCounters:
 
 
 class TestSpecs:
+    def test_one_row_per_algorithm_in_enum_order(self):
+        assert list(SPECS) == list(AlgorithmId)
+
+    def test_sort_names_are_module_callables(self):
+        for spec in SPECS.values():
+            assert callable(getattr(instrumentation, spec.sort, None)), spec.sort
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             counted_sort("uhs", [1])
@@ -130,7 +157,44 @@ class TestSpecs:
             assert expected == [{kind} for kind in shown], name
 
 
+class TestCountedSort:
+    def test_sorts_in_place_and_returns_same_list(self):
+        a = [3, 1, 2]
+        out, counters = counted_sort(AlgorithmId.MERGE, a)
+        assert out is a and a == [1, 2, 3]
+        assert counters.comparisons > 0
+
+    @pytest.mark.parametrize("algorithm", [
+        a for a in AlgorithmId if a not in (AlgorithmId.BUCKET, AlgorithmId.RADIX)])
+    def test_key_rejected_for_comparison_sorts(self, algorithm):
+        a = [2, 1]
+        with pytest.raises(TypeError):
+            counted_sort(algorithm, a, key=lambda x: x)
+        assert a == [2, 1]
+
+    @pytest.mark.parametrize("algorithm", [AlgorithmId.BUCKET, AlgorithmId.RADIX])
+    def test_key_rejected_for_distribution_sorts(self, algorithm):
+        # the distribution sorts read each element as its own key
+        a = [0.5, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1]
+        before = a[:]
+        with pytest.raises(TypeError):
+            counted_sort(algorithm, a, key=lambda x: x)
+        assert a == before
+
+
 class TestStabilityCheck:
+    @pytest.mark.parametrize("algorithm", list(AlgorithmId))
+    def test_verdicts_match_design(self, algorithm):
+        verdict = stability_check(algorithm, trials=400)
+        assert verdict.stable == SPECS[algorithm].stable
+        assert verdict.trials > 0
+
+    @pytest.mark.parametrize("algorithm", [AlgorithmId.QUICK, AlgorithmId.UHS])
+    def test_unstable_witnesses_are_short(self, algorithm):
+        verdict = stability_check(algorithm, trials=50)
+        assert not verdict.stable
+        assert verdict.witness is not None and len(verdict.witness) <= 6
+
     def test_witness_reproduces_when_rerun(self):
         verdict = stability_check(AlgorithmId.UHS, trials=50)
         Key = key_type()
@@ -157,6 +221,16 @@ class TestStabilityCheck:
     def test_stable_verdict_has_no_witness(self):
         verdict = stability_check(AlgorithmId.MERGE, trials=200)
         assert verdict.stable and verdict.witness is None
+
+    def test_deterministic_across_runs(self):
+        assert stability_check(AlgorithmId.QUICK, trials=100) == stability_check(
+            AlgorithmId.QUICK, trials=100)
+
+    def test_describe_formats(self):
+        stable = StabilityVerdict(AlgorithmId.MERGE, True, 123)
+        unstable = StabilityVerdict(AlgorithmId.UHS, False, 9, [0, 0])
+        assert stable.describe() == "merge: STABLE(trials=123)"
+        assert unstable.describe() == "uhs: UNSTABLE witness=[0, 0]"
 
     def test_ok_holds_the_verdict_against_the_design(self):
         assert StabilityVerdict(AlgorithmId.MERGE, True, 123).ok
@@ -305,3 +379,11 @@ class TestBuildCostAudit:
         rows = build_cost_audit([0, 1, 2, 2**10, 2**12], seed=3)
         assert rows == [(0, 0, 0), (1, 0, 0), (2, 1, 2), (1024, 1671, 2046), (4096, 6768, 8190)]
         assert all(row.ok for row in rows)
+
+    def test_row_ok_property(self):
+        assert BuildCostRow(4, 6, 6).ok
+        assert not BuildCostRow(4, 7, 6).ok
+
+    def test_deterministic_for_seed(self):
+        assert build_cost_audit([512], seed=3) == build_cost_audit([512], seed=3)
+        assert build_cost_audit([512], seed=3) != build_cost_audit([512], seed=4)
