@@ -287,7 +287,8 @@ _TIME_CASES = (
 
 
 def cell_cost(algorithm: AlgorithmId, n: int) -> float:
-    """An estimate of what one sort of n keys costs ``algorithm``, to order work by.
+    """An estimate of what one sort of n keys costs ``algorithm``: ``bench`` runs its
+    cells as jobs in this order, costliest first.
 
     It is g(n) for the fastest growth class that `_TIME_CASES` expects of
     the algorithm: the class of its typical input, not of its adversarial one.

@@ -273,31 +273,23 @@ def _cmd_bench(args) -> int:
     if int_only and Distribution.UNIFORM01 in distributions:
         names = ",".join(a.value for a in int_only)
         print(f"note: skipping {names} x uniform01 (integer keys only)", file=sys.stderr)
-    # The cells, costliest first, dealt round-robin into at most 32 tasks:
-    # few jobs for the workers to take, and no task holds more than ceil(cells / 32).
+    # One job a cell, costliest first, so that the workers finish close together
     ranked = sorted(cells, key=lambda c: cell_cost(c[0], c[1]), reverse=True)
-    tasks = [ranked[i::32] for i in range(min(32, len(ranked)))]
     options = dict(
         trials=args.trials, seed=args.seed, order=SortOrder(args.order), pivot=PivotRule(args.pivot)
     )
-    jobs = [functools.partial(_sweep_task, task, options) for task in tasks]
+    jobs = [functools.partial(run_sweep, [a], [n], [d], **options) for a, n, d in ranked]
     # --csv is opened before the sweep, so that a path that cannot be written fails first;
     # the file is closed if the sweep raises, and what it raises is not a failed write
     csv_file = _open(args.csv)
     with csv_file or contextlib.nullcontext():
-        done = {}
-        for task, job, (ok, results) in zip(tasks, jobs, _job_results(jobs)):
-            # a task that raised runs again here, to raise the same exception in this process
-            done.update(zip(task, results if ok else job()))
+        # a cell that raised runs again here, to raise the same exception in this process
+        done = {cell: records if ok else job()
+                for cell, job, (ok, records) in zip(ranked, jobs, _job_results(jobs))}
         records = [record for cell in cells for record in done[cell]]
         with _output(csv_file) as fh:
             write_csv(records, fh)
     return 0
-
-
-def _sweep_task(cells: list, options: dict) -> list:
-    """Each cell's records, as `run_sweep` makes them for that cell alone."""
-    return [run_sweep([a], [n], [d], **options) for a, n, d in cells]
 
 
 def _cmd_stability(args) -> int:
@@ -404,7 +396,7 @@ def _job_results(jobs: list) -> list:
     Each job is a callable that takes no arguments. Only its index goes to a
     worker and only its result comes back, so a job need not be picklable.
 
-    With more than one job and more than one CPU that this process may run
+    With 2 to 2,048 jobs and more than one CPU that this process may run
     on, the jobs run in forked workers, one per CPU and at most one per job,
     with no process pool (`_forked`); otherwise they run here, one after
     another. Either way the results are the same. Forked workers see the
@@ -415,9 +407,10 @@ def _job_results(jobs: list) -> list:
     if workers > 1:
         import threading
 
-        # A fork copies only the calling thread, so it is unsafe while others run;
-        # and a job index must fit in the one byte `_forked` sends for it.
-        if threading.active_count() > 1 or not hasattr(os, "fork") or len(jobs) > 256:
+        # A fork copies only the calling thread, so it is unsafe while others run; and
+        # `_forked` writes two bytes a job at once: at most 4,096, which is PIPE_BUF and
+        # the least a Linux pipe holds, so that write is atomic and never blocks.
+        if threading.active_count() > 1 or not hasattr(os, "fork") or len(jobs) > 2048:
             workers = 1
     if workers < 2:
         return list(map(_attempt, jobs))
@@ -427,17 +420,18 @@ def _job_results(jobs: list) -> list:
 def _forked(jobs: list, workers: int) -> list:
     """``[_attempt(job) for job in jobs]`` in ``workers`` forked processes.
 
-    Before the first fork, one write puts every job's index, a byte each, on
-    a pipe that all the workers read. Each worker takes the next index until
-    the pipe is empty, so the jobs start in the order given. It then sends
-    its ``(index, result)`` pairs back on a pipe of its own, pickled once, and
+    Before the first fork, one write puts every job's index, two bytes each,
+    on a pipe that all the workers read. Each worker takes the next index, in
+    one two-byte read of a pipe that holds an even number of bytes, until the
+    pipe is empty, so the jobs start in the order given. It then sends its
+    ``(index, result)`` pairs back on a pipe of its own, pickled once, and
     ends with `os._exit`. This process only hands out the jobs and collects
     the results. A worker that ends with any other status than 0 is an error.
     """
     import pickle
 
     todo, todo_end = os.pipe()
-    os.write(todo_end, bytes(range(len(jobs))))
+    os.write(todo_end, b"".join(i.to_bytes(2, "big") for i in range(len(jobs))))
     os.close(todo_end)
     pids, readers = [], []
     try:
@@ -478,8 +472,9 @@ def _work(jobs: list, todo: int, out: int):
         import pickle
 
         done = []
-        while taken := os.read(todo, 1):
-            done.append((taken[0], _attempt(jobs[taken[0]])))
+        while taken := os.read(todo, 2):
+            index = int.from_bytes(taken, "big")
+            done.append((index, _attempt(jobs[index])))
         with open(out, "wb") as fh:
             pickle.dump(done, fh)
         status = 0

@@ -1,7 +1,6 @@
 import contextlib
 import functools
 import io
-import math
 import os
 import pickle
 import random
@@ -275,8 +274,9 @@ class TestBenchCommand:
     def test_a_sort_that_raises_in_a_cell_raises_the_same_serial_or_pooled(
         self, monkeypatch, error
     ):
-        # two cells raise; both runs report the same one, and a pooled run
-        # raises it in this process, even when it could not come back from a worker
+        # two cells raise; both runs report the first in ranked order, merge's at
+        # n = 128 before its n = 32, and a pooled run raises it in this process,
+        # even when it could not come back from a worker
         def merge_sort(a, order, counters=None):
             if len(a) in (32, 128):
                 raise error(len(a))
@@ -289,27 +289,27 @@ class TestBenchCommand:
             with on_cpus(cpus, monkeypatch) as forks, pytest.raises(Exception) as e:
                 run_in_process(argv)
             raised.append((type(e.value), str(e.value), len(forks)))
-        assert raised[0][:2] == raised[1][:2]
-        assert raised[0][0] is type(error(0))
-        assert raised[0][1] in ("merge cannot sort 32 keys", "merge cannot sort 128 keys")
+        assert raised[0][:2] == raised[1][:2] == (type(error(0)), "merge cannot sort 128 keys")
         assert [forks for _, _, forks in raised] == [0, 2]
 
-    def test_many_tiny_cells_take_at_most_32_tasks(self, monkeypatch):
-        # 340 cells of up to 512 keys: each task is one job for a worker to take
-        # and send back, so the cells are dealt into 32 tasks, none of more than
-        # ceil(340 / 32)
-        sweep_task, tasks = cli._sweep_task, []
+    def test_each_of_340_cells_is_one_job_costliest_first_and_forked(self, monkeypatch):
+        # 340 cells of up to 512 keys, one job each, in non-increasing cell_cost
+        # order: more jobs than one byte could index, and still run by two workers
+        job_results, cells = cli._job_results, []
 
-        def counting(cells, options):
-            tasks.append(len(cells))
-            return sweep_task(cells, options)
+        def spying(jobs):
+            cells.extend((a, n, d) for (a,), (n,), (d,) in (job.args for job in jobs))
+            return job_results(jobs)
 
-        monkeypatch.setattr(cli, "_sweep_task", counting)
+        monkeypatch.setattr(cli, "_job_results", spying)
         argv = ["bench", "--algorithms", "all", "--sizes", "1..2^9", "--distributions", "all",
                 "--seed", "3"]
-        code, out, _, forks = run_on(1, monkeypatch, argv)
-        assert code == 0 and forks == 0
-        assert len(tasks) <= 32 and max(tasks) <= math.ceil(340 / 32) and sum(tasks) == 340
+        code, out, _, forks = run_on(2, monkeypatch, argv)
+        assert code == 0 and forks == 2
+        costs = [analysis.cell_cost(a, n) for a, n, _ in cells]
+        assert len(set(cells)) == 340 and costs == sorted(costs, reverse=True)
+        sizes = [2**k for k in range(10)]
+        assert _bench_cells(out) == _cells(_ALL_ALGORITHMS, sizes, _ALL_DISTRIBUTIONS)
         sizes = [2**k for k in range(10)]
         assert _bench_cells(out) == _cells(_ALL_ALGORITHMS, sizes, _ALL_DISTRIBUTIONS)
 
@@ -423,8 +423,9 @@ class TestForkedWorkers:
         # every kind of job comes back as it runs here: results, the message of
         # an exception pickle can rebuild and of one it cannot, a module attribute
         # as patched here, and a result larger than a pipe's 64 KiB buffer. With
-        # more CPUs than jobs, there is one worker a job. In a worker, job 0 waits until job 1 has started and job 1 until job 2 has,
-        # so two workers run jobs 0 and 2 on one and job 1 on the other: results
+        # more CPUs than jobs, there is one worker a job. In a worker, job 0 waits
+        # until job 1 has started and job 1 until job 2 has, so two workers run
+        # jobs 0 and 2 on one and job 1 on the other: results
         # kept in the order they came back would be out of the jobs' order
         pid, started = os.getpid(), [os.pipe(), os.pipe()]  # by jobs 1 and 2
 
@@ -523,9 +524,10 @@ class TestForkedWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_job_list_too_long_for_one_write_runs_here(self, monkeypatch):
-        # a job's index goes to the workers as one byte, so 256 jobs fork
-        # and 257 run serially, with the same results
-        for jobs, fork_count in ((256, 2), (257, 0)):
+        # a job's index goes to the workers as two bytes, in one write of at most
+        # PIPE_BUF (4,096 bytes), so 2,048 jobs fork and 2,049 run serially, with
+        # the same results
+        for jobs, fork_count in ((2048, 2), (2049, 0)):
             with on_cpus(2, monkeypatch) as forks:
                 results = cli._job_results([functools.partial(str, i) for i in range(jobs)])
             assert results == [(True, str(i)) for i in range(jobs)]
