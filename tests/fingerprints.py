@@ -76,7 +76,7 @@ def _keys(n: int, floats: bool) -> str:
 
 
 def _sort_stats(algorithm: str, pivot: str, order: str, n: int) -> str:
-    floats = algorithm == "bucket"
+    floats = SPECS[AlgorithmId(algorithm)].keys is KeyDomain.UNIT_FLOAT
     argv = ["sort", "-a", algorithm, "--pivot", pivot, "--order", order, "--stats"]
     code, out, err = run_in_process(argv + ["--float"] * floats, _keys(n, floats))
     return f"exit {code}\n{out}\0{err}"
@@ -126,10 +126,12 @@ def tie_census(n: int) -> tuple[str, ...]:
 _TINY_SWEEP = ["--algorithms", "all", "--sizes", "1..2^9", "--distributions", "all"]
 _GOLDEN_SWEEP = [
     "--algorithms", "all", "--sizes", "2^4..2^9", "--distributions", "all", "--trials", "2"]
-_QUICKS = "quick-random quick-last quick-median3"
+_QUICKS = " ".join(f"quick-{p.value}" for p in sorted(  # the default pivot first
+    PivotRule, key=lambda p: p is not PivotRule.RANDOM_SEEDED))
 
 CHEAP = {
-    **_sorts(f"insertion merge {_QUICKS} bucket radix bubble uhs", 2**11),
+    **_sorts(" ".join(_QUICKS if "pivot" in s.options else a.value for a, s in SPECS.items()),
+             2**11),
     "bench/BENCH_ARGS/seed=1": functools.partial(_bench, 1),
     **{
         f"bench/2^4..2^9-all-trials=2/{order}-{pivot}/seed=3": functools.partial(

@@ -238,7 +238,7 @@ def test_traced_peak_above_the_input_is_within_the_reported_slots(algorithm):
         assert a == sorted(a)
         assert peak <= counters.aux_peak_slots * POINTER + TRACED_ALLOWANCE, (n, peak)
         peaks.append(peak)
-    if algorithm is AlgorithmId.UHS:  # O(1) space: flat across n
+    if SPECS[algorithm].space == "O(1)":  # flat across n
         assert peaks[1] - peaks[0] < 256, peaks
 
 

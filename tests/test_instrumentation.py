@@ -36,9 +36,8 @@ class TestReportsEqualTallies:
 
     @pytest.mark.parametrize("order", list(SortOrder))
     @pytest.mark.parametrize("algorithm,pivot", [
-        *((a, PivotRule.RANDOM_SEEDED) for a in AlgorithmId if a is not AlgorithmId.QUICK),
-        *((AlgorithmId.QUICK, p) for p in PivotRule),
-    ])
+        (a, p) for a, s in SPECS.items()
+        for p in (PivotRule if "pivot" in s.options else [PivotRule.RANDOM_SEEDED])])
     def test_sort(self, algorithm, pivot, order):
         # uhs_sort's case is counted_sort calling it, build included
         rng = random.Random(300)
@@ -165,17 +164,18 @@ class TestCountedSort:
         assert counters.comparisons > 0
 
     @pytest.mark.parametrize("algorithm", [
-        a for a in AlgorithmId if a not in (AlgorithmId.BUCKET, AlgorithmId.RADIX)])
+        a for a, s in SPECS.items() if s.keys is KeyDomain.COMPARABLE])
     def test_key_rejected_for_comparison_sorts(self, algorithm):
         a = [2, 1]
         with pytest.raises(TypeError):
             counted_sort(algorithm, a, key=lambda x: x)
         assert a == [2, 1]
 
-    @pytest.mark.parametrize("algorithm", [AlgorithmId.BUCKET, AlgorithmId.RADIX])
+    @pytest.mark.parametrize("algorithm", [
+        a for a, s in SPECS.items() if s.keys is not KeyDomain.COMPARABLE])
     def test_key_rejected_for_distribution_sorts(self, algorithm):
         # the distribution sorts read each element as its own key
-        a = [0.5, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1]
+        a = [0.5, 0.25] if SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT else [2, 1]
         before = a[:]
         with pytest.raises(TypeError):
             counted_sort(algorithm, a, key=lambda x: x)
@@ -189,7 +189,7 @@ class TestStabilityCheck:
         assert verdict.stable == SPECS[algorithm].stable
         assert verdict.trials > 0
 
-    @pytest.mark.parametrize("algorithm", [AlgorithmId.QUICK, AlgorithmId.UHS])
+    @pytest.mark.parametrize("algorithm", [a for a, s in SPECS.items() if not s.stable])
     def test_unstable_witnesses_are_short(self, algorithm):
         verdict = stability_check(algorithm, trials=50)
         assert not verdict.stable
@@ -243,7 +243,8 @@ class TestSortFault:
     @pytest.mark.parametrize("order", list(SortOrder))
     @pytest.mark.parametrize("algorithm", list(AlgorithmId))
     def test_exact_match_is_no_fault(self, algorithm, order):
-        keys = [0.5, 0.25, 0.5, 0.75, 0.25] if algorithm is AlgorithmId.BUCKET else [2, 1, 2, 3, 1]
+        floats = SPECS[algorithm].keys is KeyDomain.UNIT_FLOAT
+        keys = [0.5, 0.25, 0.5, 0.75, 0.25] if floats else [2, 1, 2, 3, 1]
         if not SPECS[algorithm].stable:
             keys = sorted(set(keys))[::-1]  # distinct keys leave nothing to reorder
         assert sort_fault(algorithm, keys, order, 0, PivotRule.LAST_ELEMENT) is None
